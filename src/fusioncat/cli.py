@@ -170,6 +170,8 @@ def cmd_render(args) -> int:
         order = _lcg_permutation(len(keys), seed_value)
     else:
         raise InputError(f"--order wants 'sorted' or 'seeded:<n>', got {args.order!r}")
+    if args.width is not None and args.width < 1:
+        raise InputError(f"--width must be at least 1, got {args.width}")
     values = [table.entries[keys[i]].as_field() for i in order]
     width = args.width or math.isqrt(len(values) - 1) + 1
     height = (len(values) + width - 1) // width

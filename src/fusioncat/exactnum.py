@@ -253,8 +253,35 @@ class FieldScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
-        k = len(self.tower.gens)
-        return self.tower.from_coords(_vec_inv(self.tower, self.coords, k))
+        """Integer-only inverse by conjugates, one level at a time.
+
+        Flipping the sign of the coordinates that carry generator i is the
+        automorphism of level i + 1 over level i.  Working from the top
+        generator down, multiplying the running norm by that conjugate drops
+        it one level, so after k steps ``self * conj`` is a nonzero rational
+        and the inverse is ``conj`` divided by it.
+        """
+        if not any(self._num):
+            raise ZeroDivisionError("division by zero")
+        tower = self.tower
+        norm = self
+        conj = tower.one()
+        for level in reversed(range(len(tower.gens))):
+            bit = 1 << level
+            flip = FieldScalar(
+                tower, tuple(-v if idx & bit else v
+                             for idx, v in enumerate(norm._num)), norm._den)
+            norm = norm * flip
+            conj = conj * flip
+        num0 = norm._num[0]
+        if not num0:
+            raise ZeroDivisionError("division by zero")
+        return FieldScalar(tower, tuple(v * norm._den for v in conj._num),
+                           conj._den * num0)
+
+    def integer_coords(self) -> tuple[tuple[int, ...], int]:
+        """The reduced integer coordinates and their positive denominator."""
+        return self._num, self._den
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -767,6 +794,12 @@ def render_scalar(x: "FieldScalar | ParamScalar") -> str:
     return out
 
 
+# Deepest nesting of parentheses and unary minus signs the parser accepts.
+# Canonical text nests one level; the bound keeps hostile input from
+# exhausting the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 100
+
+
 class ScalarParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} at column {pos + 1}")
@@ -777,6 +810,7 @@ class _Parser:
     def __init__(self, text: str, tower: TowerSpec):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.tower = tower
 
     def error(self, msg: str):
@@ -812,15 +846,19 @@ class _Parser:
 
     def factor(self) -> ParamScalar:
         ch = self.peek()
-        if ch == "-":
+        if ch in ("-", "("):
+            if self.depth == MAX_NESTING_DEPTH:
+                self.error(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
+            self.depth += 1
             self.pos += 1
-            return -self.factor()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            if ch == "-":
+                value = -self.factor()
+            else:
+                value = self.expr()
+                if self.peek() != ")":
+                    self.error("expected ')'")
+                self.pos += 1
+            self.depth -= 1
             return value
         if ch.isdigit():
             return self.number()

@@ -13,10 +13,11 @@ the residual is
 with t running over the labels admissible for all three right-hand keys.
 Everything is evaluated exactly, symbolically in the sign parameters.
 
-The bulk verifier normalizes every table value into q * P with q rational
-and P an interned primitive field direction, so that products reduce to one
-rational multiplication plus a lookup in a tiny product table, and the final
-zero test is an integer-vector accumulation.
+The bulk verifier compiles a table once into integer coefficients over one
+denominator times interned primitive field directions, with the products of
+two and three directions tabulated, so that a residual is an integer
+accumulation per (sign monomial, direction) and the zero test folds those
+sums into integer coordinates; no rational arithmetic runs per instance.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 from .exactnum import FieldScalar, ParamScalar, named_constant, render_scalar
@@ -158,99 +159,144 @@ def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
 # fast exact kernel
 
 class _Kernel:
-    """Exact residual evaluation over interned primitive field directions."""
+    """Exact residual evaluation in integers over interned field directions.
 
-    def __init__(self, table: FSymbolTable):
+    Compiling a table splits every value into sign monomials and every
+    coefficient into ``n / L`` times a primitive integer direction, with one
+    denominator ``L`` for the whole table (and for any extra entry maps
+    compiled alongside it, such as the starred entries).  The products of
+    two and of three directions are tabulated once, each as ``c / B`` times
+    a direction over one common denominator ``B``; only these two depths are
+    needed, and the full product closure would be infinite.
+
+    A pentagon-shaped residual (a product of two values minus a sum of
+    products of three) scaled by ``L**3 * B`` is then a sum of integers per
+    (sign monomial, direction): left-hand terms carry the extra factor ``L``
+    inside the two-factor table.  It is zero exactly when those sums fold
+    into zero integer coordinates.
+    """
+
+    def __init__(self, table: FSymbolTable,
+                 starred: dict[FKey, ParamScalar] | None = None):
         self.tower = table.ring.tower
-        self.degree = self.tower.degree
         self.prims: list[tuple[int, ...]] = []
-        self.prim_ids: dict[tuple[int, ...], int] = {}
-        self.prodtab: dict[tuple[int, int], tuple[Fraction, int]] = {}
-        self.values = self.compile(table.entries)
+        self._prim_ids: dict[tuple[int, ...], int] = {}
+        maps = [table.entries] + ([starred] if starred is not None else [])
+        # distinct coordinates -> (g, den, pid), then -> (g * L / den, pid)
+        splits: dict[tuple, tuple] = {}
+        for entries in maps:
+            for v in entries.values():
+                for coeff in v.terms.values():
+                    coords = coeff.integer_coords()
+                    if coords not in splits:
+                        splits[coords] = self._split(*coords)
+        self.den_l = lcm(*(den for _, den, _ in splits.values()))
+        for coords, (g, den, pid) in splits.items():
+            splits[coords] = (g * (self.den_l // den), pid)
+        # keyed by FKey; a plain label tuple finds the same entry, because
+        # FKey is a tuple and hashes and compares like one
+        values = [{k: tuple((i | j << 1,) + splits[c.integer_coords()]
+                            for (i, j), c in v.terms.items())
+                   for k, v in entries.items()} for entries in maps]
+        self.values = values[0]
+        self.starred = values[1] if starred is not None else None
+        self._build_products()
 
-    def compile(self, entries: dict[FKey, ParamScalar]):
-        return {k: tuple(((i | (j << 1)),) + self._decompose(coeff)
-                         for (i, j), coeff in sorted(v.terms.items()))
-                for k, v in entries.items()}
-
-    def _decompose(self, x: FieldScalar) -> tuple[Fraction, int]:
-        den = reduce(lambda acc, q: acc * q.denominator // gcd(acc, q.denominator),
-                     x.coords, 1)
-        vec = [int(q * den) for q in x.coords]
-        g = reduce(gcd, vec)
-        lead = next(v for v in vec if v)
-        if lead < 0:
+    def _split(self, num: tuple[int, ...], den: int) -> tuple[int, int, int]:
+        """(g, den, pid) with num / den = (g / den) * prims[pid]; the
+        coordinates are reduced, so g / den is in lowest terms."""
+        g = reduce(gcd, num)
+        if next(v for v in num if v) < 0:
             g = -g
-        prim = tuple(v // g for v in vec)
-        pid = self.prim_ids.get(prim)
+        prim = tuple(v // g for v in num)
+        pid = self._prim_ids.get(prim)
         if pid is None:
-            pid = len(self.prims)
-            self.prim_ids[prim] = pid
+            pid = self._prim_ids[prim] = len(self.prims)
             self.prims.append(prim)
-        return Fraction(g, den), pid
+        return g, den, pid
 
-    def _prim_mul(self, p1: int, p2: int) -> tuple[Fraction, int]:
-        hit = self.prodtab.get((p1, p2))
-        if hit is None:
-            s1 = self.tower.from_coords(self.prims[p1])
-            s2 = self.tower.from_coords(self.prims[p2])
-            hit = self._decompose(s1 * s2)
-            self.prodtab[(p1, p2)] = hit
-            self.prodtab[(p2, p1)] = hit
-        return hit
+    def _build_products(self) -> None:
+        """Tabulate products of two and of three compiled directions.
 
-    def term_mul(self, t1, t2):
-        out = []
-        for m1, q1, p1 in t1:
-            for m2, q2, p2 in t2:
-                qq, pp = self._prim_mul(p1, p2)
-                out.append((m1 ^ m2, q1 * q2 * qq, pp))
-        return out
+        The products may be new directions; they are interned for folding
+        but not multiplied further.
+        """
+        base = range(len(self.prims))
+        scal = [FieldScalar(self.tower, p, 1) for p in self.prims]
+        two = {(i, j): scal[i] * scal[j] for i in base for j in base if i <= j}
+        three = {(i, j, k): prod * scal[k]
+                 for (i, j), prod in two.items() for k in base if j <= k}
+        splits = {key: self._split(*v.integer_coords())
+                  for key, v in (two | three).items()}
+        self.den_b = lcm(*(den for _, den, _ in splits.values()))
 
-    def residual_terms(self, inst_tuple) -> list[tuple[int, Fraction, int]]:
+        def scaled(key, factor):
+            g, den, pid = splits[tuple(sorted(key))]
+            return g * (self.den_b // den) * factor, pid
+
+        self._prod2 = [[scaled((i, j), self.den_l) for j in base] for i in base]
+        self._prod3 = [[[scaled((i, j, k), 1) for k in base] for j in base]
+                       for i in base]
+        self._sparse = [tuple((idx, v) for idx, v in enumerate(p) if v)
+                        for p in self.prims]
+
+    def accumulate(self, f1, f2, triples) -> dict[int, int]:
+        """Integer sums of ``f1 * f2 - sum of g1 * g2 * g3`` over triples,
+        scaled by ``L**3 * B``, keyed by ``direction << 2 | sign monomial``."""
+        acc: dict[int, int] = {}
+        prod2 = self._prod2
+        for m1, n1, d1 in f1:
+            row = prod2[d1]
+            for m2, n2, d2 in f2:
+                c, d = row[d2]
+                key = d << 2 | (m1 ^ m2)
+                acc[key] = acc.get(key, 0) + n1 * n2 * c
+        prod3 = self._prod3
+        for g1, g2, g3 in triples:
+            for m1, n1, d1 in g1:
+                rows = prod3[d1]
+                for m2, n2, d2 in g2:
+                    row = rows[d2]
+                    n12 = n1 * n2
+                    m12 = m1 ^ m2
+                    for m3, n3, d3 in g3:
+                        c, d = row[d3]
+                        key = d << 2 | (m12 ^ m3)
+                        acc[key] = acc.get(key, 0) - n12 * n3 * c
+        return acc
+
+    def pentagon(self, inst_tuple) -> dict[int, int]:
+        """Accumulators of the pentagon residual of one raw instance."""
         x, y, z, w, u, a, b, c, d, esum = inst_tuple
         V = self.values
-        terms: list[tuple[int, Fraction, int]] = []
-        for m1, q1, p1 in V[FKey(x, y, c, u, d, a)]:
-            for m2, q2, p2 in V[FKey(a, z, w, u, c, b)]:
-                qq, pp = self._prim_mul(p1, p2)
-                terms.append((m1 ^ m2, q1 * q2 * qq, pp))
-        for t in esum:
-            for m1, q1, p1 in V[FKey(y, z, w, d, c, t)]:
-                for m2, q2, p2 in V[FKey(x, t, w, u, d, b)]:
-                    q12, p12 = self._prim_mul(p1, p2)
-                    for m3, q3, p3 in V[FKey(x, y, z, b, t, a)]:
-                        qq, pp = self._prim_mul(p12, p3)
-                        terms.append((m1 ^ m2 ^ m3, -q1 * q2 * q12 * q3 * qq, pp))
-        return terms
+        return self.accumulate(
+            V[(x, y, c, u, d, a)], V[(a, z, w, u, c, b)],
+            [(V[(y, z, w, d, c, t)], V[(x, t, w, u, d, b)],
+              V[(x, y, z, b, t, a)]) for t in esum])
 
-    def is_zero(self, terms) -> bool:
-        by_mono: dict[int, dict[int, Fraction]] = {}
-        for mono, q, pid in terms:
-            slot = by_mono.setdefault(mono, {})
-            slot[pid] = slot.get(pid, 0) + q
-        for slot in by_mono.values():
-            live = [(q, pid) for pid, q in slot.items() if q]
-            if not live:
-                continue
-            coords = [Fraction(0)] * self.degree
-            for q, pid in live:
-                prim = self.prims[pid]
-                for i, v in enumerate(prim):
-                    if v:
-                        coords[i] += q * v
-            if any(coords):
-                return False
-        return True
+    def _fold(self, acc: dict[int, int]) -> list[list[int]]:
+        """Integer coordinates per sign monomial (scaled by ``L**3 * B``)."""
+        coords = [[0] * self.tower.degree for _ in range(4)]
+        sparse = self._sparse
+        for key, v in acc.items():
+            if v:
+                vec = coords[key & 3]
+                for idx, p in sparse[key >> 2]:
+                    vec[idx] += v * p
+        return coords
+
+    def is_zero(self, acc: dict[int, int]) -> bool:
+        if not any(acc.values()):
+            return True
+        return not any(any(vec) for vec in self._fold(acc))
 
     def residual_scalar(self, inst_tuple) -> ParamScalar:
-        terms = self.residual_terms(inst_tuple)
-        out: dict[tuple[int, int], FieldScalar] = {}
-        for mono, q, pid in terms:
-            m = (mono & 1, mono >> 1)
-            val = self.tower.from_coords(self.prims[pid]) * q
-            out[m] = out[m] + val if m in out else val
-        return ParamScalar(self.tower, out)
+        """The pentagon residual rebuilt from the integer accumulators."""
+        scale = self.den_l ** 3 * self.den_b
+        coords = self._fold(self.pentagon(inst_tuple))
+        return ParamScalar(self.tower, {
+            (m & 1, m >> 1): FieldScalar(self.tower, tuple(vec), scale)
+            for m, vec in enumerate(coords) if any(vec)})
 
 
 @dataclass
@@ -288,9 +334,8 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _verify_chunk(table: FSymbolTable, xs, rule: str) -> VerifyReport:
-    ring = table.ring
-    kernel = _Kernel(table)
+def _verify_chunk(kernel: _Kernel, ring: FusionRing, xs,
+                  rule: str) -> VerifyReport:
     unit = ring.unit
     rep = VerifyReport(rule=rule)
     use_unit = rule in ("unit", "both")
@@ -306,8 +351,7 @@ def _verify_chunk(table: FSymbolTable, xs, rule: str) -> VerifyReport:
                 rep.trivial += 1
                 continue
             # the vacuous rule keeps everything
-            terms = kernel.residual_terms(tup)
-            if not kernel.is_zero(terms):
+            if not kernel.is_zero(kernel.pentagon(tup)):
                 expr = render_scalar(kernel.residual_scalar(tup))
                 rep.failures.append((tup[:9], expr))
     return rep
@@ -316,9 +360,9 @@ def _verify_chunk(table: FSymbolTable, xs, rule: str) -> VerifyReport:
 _FORK_STATE: dict = {}
 
 
-def _pool_worker(args):
-    table, rule = _FORK_STATE["table"], _FORK_STATE["rule"]
-    return _verify_chunk(table, [args], rule)
+def _pool_worker(x):
+    return _verify_chunk(_FORK_STATE["kernel"], _FORK_STATE["ring"], [x],
+                         _FORK_STATE["rule"])
 
 
 def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> VerifyReport:
@@ -326,12 +370,14 @@ def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> Verify
     if rule not in TRIVIALITY_RULES:
         raise ValueError(f"unknown triviality rule {rule!r}")
     start = time.monotonic()
-    n = len(table.ring)
+    ring = table.ring
+    n = len(ring)
+    # compiled once; forked workers inherit it
+    kernel = _Kernel(table)
     if jobs > 1 and hasattr(os, "fork"):
         import multiprocessing as mp
 
-        _FORK_STATE["table"] = table
-        _FORK_STATE["rule"] = rule
+        _FORK_STATE.update(kernel=kernel, ring=ring, rule=rule)
         try:
             with mp.get_context("fork").Pool(min(jobs, n)) as pool:
                 parts = pool.map(_pool_worker, range(n))
@@ -341,7 +387,7 @@ def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> Verify
         for part in parts:
             rep.merge(part)
     else:
-        rep = _verify_chunk(table, range(n), rule)
+        rep = _verify_chunk(kernel, ring, range(n), rule)
     rep.failures.sort()
     rep.duration = time.monotonic() - start
     return rep
@@ -393,7 +439,7 @@ def find_failing_instance(table: FSymbolTable, key: FKey,
         kernel = _Kernel(table)
     for pos in index.get(key, ()):
         tup = instances[pos]
-        if not kernel.is_zero(kernel.residual_terms(tup)):
+        if not kernel.is_zero(kernel.pentagon(tup)):
             return PentagonInstance(*tup[:9], e_sum=tup[9])
     return None
 
@@ -430,26 +476,32 @@ def _invert_param_matrix(tower, m):
     The ring splits into four copies of the field, one per substitution, so
     the inverse is computed pointwise and reassembled: the coefficient of
     p1^i p2^j is (1/4) * sum over signs of s1^i s2^j times the pointwise
-    inverse.
+    inverse.  Sign points with the same substituted matrix share one
+    inversion; a p-free block (every block of a concrete table) needs one.
     """
     n = len(m)
-    points = {}
+    points: dict[tuple, list[tuple[int, int]]] = {}
     for s1 in (1, -1):
         for s2 in (1, -1):
-            mm = [[v.substitute(s1, s2) for v in row] for row in m]
-            points[(s1, s2)] = _field_matrix_inverse(tower, mm)
-    quarter = Fraction(1, 4)
+            mm = tuple(tuple(v.substitute(s1, s2) for v in row) for row in m)
+            points.setdefault(mm, []).append((s1, s2))
+    # per distinct matrix: its inverse and, per monomial (i, j), the weight
+    # (1/4) * sum of s1^i s2^j over the sign points that share it
+    parts = []
+    for mm, signs in points.items():
+        weights = {(i, j): Fraction(sum(s1 ** i * s2 ** j for s1, s2 in signs), 4)
+                   for i in (0, 1) for j in (0, 1)}
+        parts.append((_field_matrix_inverse(tower, mm),
+                      [(mono, w) for mono, w in weights.items() if w]))
     out = []
     for r in range(n):
         row = []
         for c in range(n):
             terms = {}
-            for i in (0, 1):
-                for j in (0, 1):
-                    acc = tower.zero()
-                    for (s1, s2), inv in points.items():
-                        acc = acc + inv[r][c] * (s1 ** i * s2 ** j)
-                    terms[(i, j)] = acc * quarter
+            for inv, weights in parts:
+                for mono, w in weights:
+                    val = inv[r][c] * w
+                    terms[mono] = terms[mono] + val if mono in terms else val
             row.append(ParamScalar(tower, terms))
         out.append(row)
     return out
@@ -461,16 +513,20 @@ def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
     Addressed by the same keys as the table itself, so the starred factor
     (F_u^{abc})*_{f e} is ``starred[key(a, b, c, u, e, f)]``.
     """
-    ring = table.ring
-    tower = ring.tower
     out: dict[FKey, ParamScalar] = {}
-    for blk in f_blocks(ring):
-        m = table.f_matrix(blk.a, blk.b, blk.c, blk.u)
-        inv = _invert_param_matrix(tower, m)
-        for ei, e in enumerate(blk.e_labels):
-            for fi, f in enumerate(blk.f_labels):
-                out[FKey(blk.a, blk.b, blk.c, blk.u, e, f)] = inv[fi][ei]
+    for blk in f_blocks(table.ring):
+        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u))
     return out
+
+
+def _starred_block(table: FSymbolTable, a: int, b: int, c: int,
+                   u: int) -> dict[FKey, ParamScalar]:
+    """The starred entries of one block, keyed as in :func:`starred_entries`."""
+    ring = table.ring
+    inv = _invert_param_matrix(ring.tower, table.f_matrix(a, b, c, u))
+    return {FKey(a, b, c, u, e, f): inv[fi][ei]
+            for ei, e in enumerate(ring.e_labels(a, b, c, u))
+            for fi, f in enumerate(ring.f_labels(a, b, c, u))}
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +567,10 @@ def check_additional(table: FSymbolTable) -> BlockReport:
                        * F[u; a b c]*_{y s}
             = F[u; x3 x2 c]*_{y x4} * F[y; a x1 x2; e=b f=x3]
 
-    with * read as transpose (the solution is real orthogonal).  Labels run
+    with (F[u; a b c]*)_{f e} the entry at row f, column e of the inverse
+    of that block (see :func:`starred_entries`).  In the data set's gauge
+    the inverse is the transpose, but only the inverse keeps the identity
+    invariant under a gauge that breaks orthogonality.  Labels run
     over every assignment satisfying N_u^{x3 x4} = N_x3^{a x1} = N_x4^{x2 c}
     = N_b^{x1 x2} = 1 plus admissibility of the two right-hand keys.
     """
@@ -520,9 +579,9 @@ def check_additional(table: FSymbolTable) -> BlockReport:
     fus = ring._fusion
     n = len(ring)
     report = BlockReport("additional")
-    kernel = _Kernel(table)
+    kernel = _Kernel(table, starred=starred_entries(table))
     V = kernel.values
-    S = kernel.compile(starred_entries(table))
+    S = kernel.starred
     for a in range(n):
         for x1 in range(n):
             for x3 in fus[(a, x1)]:
@@ -534,20 +593,19 @@ def check_additional(table: FSymbolTable) -> BlockReport:
                                     for y in fus[(a, b)]:
                                         if not (N[x3][x2][y] and N[y][c][u]):
                                             continue
-                                        terms = [
-                                            (m, -q, p) for m, q, p in kernel.term_mul(
-                                                S[FKey(x3, x2, c, u, x4, y)],
-                                                V[FKey(a, x1, x2, y, b, x3)])]
-                                        for s in fus[(x1, x4)]:
-                                            if not (N[a][s][u] and N[b][c][s]):
-                                                continue
-                                            terms += kernel.term_mul(
-                                                kernel.term_mul(
-                                                    V[FKey(a, x1, x4, u, s, x3)],
-                                                    S[FKey(x1, x2, c, s, x4, b)]),
-                                                S[FKey(a, b, c, u, s, y)])
+                                        # right side minus left side, in
+                                        # the kernel's pentagon shape;
+                                        # plain label tuples find FKeys
+                                        acc = kernel.accumulate(
+                                            S[(x3, x2, c, u, x4, y)],
+                                            V[(a, x1, x2, y, b, x3)],
+                                            [(V[(a, x1, x4, u, s, x3)],
+                                              S[(x1, x2, c, s, x4, b)],
+                                              S[(a, b, c, u, s, y)])
+                                             for s in fus[(x1, x4)]
+                                             if N[a][s][u] and N[b][c][s]])
                                         report.checked += 1
-                                        if not kernel.is_zero(terms):
+                                        if not kernel.is_zero(acc):
                                             report.failures.append(
                                                 f"a={a} x1={x1} x2={x2} x3={x3} "
                                                 f"x4={x4} c={c} u={u} b={b} y={y}")
@@ -565,8 +623,8 @@ def check_addtriv(table: FSymbolTable) -> BlockReport:
         raise ValueError("the square-pop identities are specific to the h3 ring")
     report = BlockReport("addtriv (gauge-dependent: data-set gauge only)")
     g = table.entries
-    starred = starred_entries(table)
     r = ring.label("r")
+    starred = _starred_block(table, r, r, r, r)
     unit = ring.unit
     c1 = ParamScalar.from_field(named_constant("c1"))
     c2 = ParamScalar.from_field(named_constant("c2"))

@@ -80,6 +80,26 @@ def test_missing_file_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_deeply_nested_scalar_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.fsym"
+    path.write_text("h3fsym v1\nF r r r r 1 1 = " + "(" * 5000 + "1"
+                    + ")" * 5000 + "\n")
+    proc = run_cli("verify", "--dataset", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "nesting deeper than" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_render_rejects_nonpositive_width(tmp_path):
+    for width in ("-1", "0"):
+        out = tmp_path / f"w{width}.ppm"
+        proc = run_cli("render", "--builtin", "h3", "--width", width,
+                       "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "--width must be at least 1" in proc.stderr
+        assert not out.exists()
+
+
 def _read_ppm(path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n")

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from fusioncat.exactnum import (ParamScalar, ScalarParseError,
-                                approx, field_add, field_inv, field_mul,
-                                field_sqrt, is_zero, named_constant,
-                                param_mul, param_substitute, parse_scalar,
+from fusioncat.exactnum import (MAX_NESTING_DEPTH, ParamScalar,
+                                ScalarParseError, _vec_inv, approx,
+                                field_add, field_inv, field_mul, field_sqrt,
+                                is_zero, named_constant, param_mul,
+                                param_substitute, parse_scalar,
                                 render_scalar, tower_preset)
 
 
@@ -177,3 +178,36 @@ def test_field_sqrt(h3):
     root = field_sqrt(1 - phi.inverse() ** 2)
     assert root is not None and root ** 2 == 1 - phi.inverse() ** 2
     assert root.sign() > 0
+
+
+@pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])
+def test_inverse_on_every_tower(name):
+    tower = tower_preset(name)
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(60):
+        # sparse and dense operands, including pure generator monomials
+        coords = [Fraction(rng.randint(-40, 40), rng.randint(1, 25))
+                  if rng.random() < 0.6 else 0 for _ in range(tower.degree)]
+        x = tower.from_coords(coords)
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        assert x * inv == 1
+        assert inv == tower.from_coords(
+            _vec_inv(tower, x.coords, len(tower.gens)))
+        checked += 1
+    assert checked > 30
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        tower.zero().inverse()
+
+
+def test_parse_rejects_deep_nesting(h3):
+    depth = MAX_NESTING_DEPTH
+    assert parse_scalar("(" * depth + "r13" + ")" * depth, h3) == \
+        ParamScalar.from_field(h3.gen(0))
+    assert parse_scalar("-" * depth + "1", h3) == ParamScalar.from_field(h3.one())
+    for text in ("(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1",
+                 "(" * (depth + 1) + "1" + ")" * (depth + 1)):
+        with pytest.raises(ScalarParseError, match="nesting deeper than"):
+            parse_scalar(text, h3)

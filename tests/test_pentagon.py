@@ -6,15 +6,16 @@ from itertools import islice
 
 import pytest
 
-from fusioncat.exactnum import named_constant
+from fusioncat.exactnum import ParamScalar, named_constant
 from fusioncat.fsymbols import GaugeAssignment, all_ones_table, build_h3_table
-from fusioncat.fusionring import builtin_ring
-from fusioncat.pentagon import (check_additional,
+from fusioncat.fusionring import builtin_ring, f_blocks
+from fusioncat.pentagon import (PentagonInstance, check_additional,
                                 check_addtriv, check_seeds, check_triangle,
                                 classify, count_instances,
                                 enumerate_instances, find_failing_instance,
-                                negate_entry, residual, verify_all)
-from fusioncat.pentagon import _Kernel
+                                key_instance_index, negate_entry, residual,
+                                verify_all)
+from fusioncat.pentagon import _Kernel, _invert_param_matrix
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +182,54 @@ def test_gauge_invariance_spot(table, h3):
         assert verify_all(gauged).passed
         assert check_triangle(gauged).passed
         assert check_additional(gauged).passed
+
+
+def _assert_kernel_agrees(table, tuples):
+    """Kernel verdict and rebuilt residual equal the reference residual."""
+    kernel = _Kernel(table)
+    nonzero = 0
+    for tup in tuples:
+        ref = residual(PentagonInstance(*tup[:9], e_sum=tup[9]), table)
+        assert kernel.is_zero(kernel.pentagon(tup)) == ref.is_zero()
+        assert kernel.residual_scalar(tup) == ref
+        nonzero += not ref.is_zero()
+    return nonzero
+
+
+def test_kernel_differential_gauge_and_negations(table, h3):
+    rng = random.Random(4242)
+    instances, index = key_instance_index(h3)
+    gauged = table.apply_gauge(_random_gauge(h3, rng))
+    assert _assert_kernel_agrees(gauged, rng.sample(instances, 60)) == 0
+    nonzero = 0
+    keys = sorted(index)
+    for key in rng.sample(keys, 4):
+        mutated = negate_entry(table, key)
+        touching = [instances[pos] for pos in index[key]]
+        sample = rng.sample(touching, min(20, len(touching)))
+        nonzero += _assert_kernel_agrees(mutated, sample)
+    assert nonzero > 0
+
+
+def test_invert_param_matrix_mixed_monomials(table, h3):
+    tower = h3.tower
+    p1 = ParamScalar.param(tower, 1)
+    p2 = ParamScalar.param(tower, 2)
+    r13 = ParamScalar.from_field(tower.gen(0))
+    one = ParamScalar.from_field(tower.one())
+    zero = ParamScalar.from_field(tower.zero())
+    m = [[one + p1, r13 * p2], [p1 * p2 + 2, r13 - p1]]
+    inv = _invert_param_matrix(tower, m)
+    for i in range(2):
+        for j in range(2):
+            got = sum((m[i][k] * inv[k][j] for k in range(2)), start=zero)
+            assert got == (one if i == j else zero)
+    # p-free blocks need one inversion and stay p-free
+    blk = next(b for b in f_blocks(h3) if b.dim == 4)
+    m = table.substitute_params(1, -1).f_matrix(blk.a, blk.b, blk.c, blk.u)
+    inv = _invert_param_matrix(tower, m)
+    assert all(v.is_field() for row in inv for v in row)
+    for i in range(4):
+        for j in range(4):
+            got = sum((m[i][k] * inv[k][j] for k in range(4)), start=zero)
+            assert got == (one if i == j else zero)
