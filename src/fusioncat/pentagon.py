@@ -15,7 +15,7 @@ Everything is evaluated exactly, symbolically in the sign parameters.
 
 The bulk verifier compiles a table once into integer coefficients over one
 denominator times interned primitive field directions, with the products of
-two and three directions tabulated, so that a residual is an integer
+two and three directions memoized, so that a residual is an integer
 accumulation per (sign monomial, direction) and the zero test folds those
 sums into integer coordinates; no rational arithmetic runs per instance.
 """
@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator
 
 from .exactnum import FieldScalar, ParamScalar, named_constant, render_scalar
@@ -158,41 +159,95 @@ def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
 # ---------------------------------------------------------------------------
 # fast exact kernel
 
+class _Memo(dict):
+    """A dict that fills a missing key from a function of that key."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
+class _Directions:
+    """Interned primitive integer directions of one tower, and their
+    products over one fixed denominator ``B``.
+
+    ``B`` is the square of the tower's product denominator: a product of two
+    integer vectors has a denominator dividing that product denominator, and
+    a product of three one dividing its square.  Products may be new
+    directions, which are interned as well.
+    """
+
+    def __init__(self, tower):
+        self.tower = tower
+        self.den_b = tower._pden ** 2
+        self.prims: list[tuple[int, ...]] = []
+        self.sparse: list[tuple[tuple[int, int], ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+
+    def intern(self, num: tuple[int, ...]) -> tuple[int, int]:
+        """(g, pid) with num = g * prims[pid], the direction primitive and
+        its first nonzero coordinate positive."""
+        g = reduce(gcd, num)
+        if next(v for v in num if v) < 0:
+            g = -g
+        prim = tuple(v // g for v in num)
+        pid = self._ids.get(prim)
+        if pid is None:
+            pid = self._ids[prim] = len(self.prims)
+            self.prims.append(prim)
+            self.sparse.append(
+                tuple((idx, v) for idx, v in enumerate(prim) if v))
+        return g, pid
+
+    def product(self, pids: tuple[int, ...], factor: int) -> tuple[int, int]:
+        """(c, pid) with B * factor * (product of the directions) equal to
+        c * prims[pid]."""
+        num, den = reduce(mul, (FieldScalar(self.tower, self.prims[p], 1)
+                                for p in pids)).integer_coords()
+        g, pid = self.intern(num)
+        return g * (self.den_b // den) * factor, pid
+
+
 class _Kernel:
     """Exact residual evaluation in integers over interned field directions.
 
     Compiling a table splits every value into sign monomials and every
     coefficient into ``n / L`` times a primitive integer direction, with one
     denominator ``L`` for the whole table (and for any extra entry maps
-    compiled alongside it, such as the starred entries).  The products of
-    two and of three directions are tabulated once, each as ``c / B`` times
-    a direction over one common denominator ``B``; only these two depths are
-    needed, and the full product closure would be infinite.
+    compiled alongside it, such as the starred entries).  Products of two
+    and of three directions are memoized as they are first met, each as
+    ``c / B`` times a direction (see :class:`_Directions`).  Only these two
+    depths are needed, and the full product closure would be infinite.
 
     A pentagon-shaped residual (a product of two values minus a sum of
     products of three) scaled by ``L**3 * B`` is then a sum of integers per
     (sign monomial, direction): left-hand terms carry the extra factor ``L``
-    inside the two-factor table.  It is zero exactly when those sums fold
-    into zero integer coordinates.
+    inside their two-factor products.  It is zero exactly when those sums
+    fold into zero integer coordinates.
     """
 
     def __init__(self, table: FSymbolTable,
                  starred: dict[FKey, ParamScalar] | None = None):
         self.tower = table.ring.tower
-        self.prims: list[tuple[int, ...]] = []
-        self._prim_ids: dict[tuple[int, ...], int] = {}
+        dirs = self.dirs = _Directions(self.tower)
         maps = [table.entries] + ([starred] if starred is not None else [])
-        # distinct coordinates -> (g, den, pid), then -> (g * L / den, pid)
+        # distinct coordinates -> (g, pid, den), then -> (g * L / den, pid)
         splits: dict[tuple, tuple] = {}
         for entries in maps:
             for v in entries.values():
                 for coeff in v.terms.values():
-                    coords = coeff.integer_coords()
+                    num, den = coords = coeff.integer_coords()
                     if coords not in splits:
-                        splits[coords] = self._split(*coords)
-        self.den_l = lcm(*(den for _, den, _ in splits.values()))
-        for coords, (g, den, pid) in splits.items():
-            splits[coords] = (g * (self.den_l // den), pid)
+                        splits[coords] = dirs.intern(num) + (den,)
+        den_l = self.den_l = lcm(*(den for _, _, den in splits.values()))
+        for coords, (g, pid, den) in splits.items():
+            splits[coords] = (g * (den_l // den), pid)
         # keyed by FKey; a plain label tuple finds the same entry, because
         # FKey is a tuple and hashes and compares like one
         values = [{k: tuple((i | j << 1,) + splits[c.integer_coords()]
@@ -200,45 +255,13 @@ class _Kernel:
                    for k, v in entries.items()} for entries in maps]
         self.values = values[0]
         self.starred = values[1] if starred is not None else None
-        self._build_products()
-
-    def _split(self, num: tuple[int, ...], den: int) -> tuple[int, int, int]:
-        """(g, den, pid) with num / den = (g / den) * prims[pid]; the
-        coordinates are reduced, so g / den is in lowest terms."""
-        g = reduce(gcd, num)
-        if next(v for v in num if v) < 0:
-            g = -g
-        prim = tuple(v // g for v in num)
-        pid = self._prim_ids.get(prim)
-        if pid is None:
-            pid = self._prim_ids[prim] = len(self.prims)
-            self.prims.append(prim)
-        return g, den, pid
-
-    def _build_products(self) -> None:
-        """Tabulate products of two and of three compiled directions.
-
-        The products may be new directions; they are interned for folding
-        but not multiplied further.
-        """
-        base = range(len(self.prims))
-        scal = [FieldScalar(self.tower, p, 1) for p in self.prims]
-        two = {(i, j): scal[i] * scal[j] for i in base for j in base if i <= j}
-        three = {(i, j, k): prod * scal[k]
-                 for (i, j), prod in two.items() for k in base if j <= k}
-        splits = {key: self._split(*v.integer_coords())
-                  for key, v in (two | three).items()}
-        self.den_b = lcm(*(den for _, den, _ in splits.values()))
-
-        def scaled(key, factor):
-            g, den, pid = splits[tuple(sorted(key))]
-            return g * (self.den_b // den) * factor, pid
-
-        self._prod2 = [[scaled((i, j), self.den_l) for j in base] for i in base]
-        self._prod3 = [[[scaled((i, j, k), 1) for k in base] for j in base]
-                       for i in base]
-        self._sparse = [tuple((idx, v) for idx, v in enumerate(p) if v)
-                        for p in self.prims]
+        # prod2[i][j] and prod3[i][j][k]: (c, pid), filled on first use; the
+        # fill functions hold only dirs, so a kernel is freed by reference
+        # counting rather than left to the cycle collector
+        self._prod2 = _Memo(lambda i: _Memo(
+            lambda j: dirs.product((i, j), den_l)))
+        self._prod3 = _Memo(lambda i: _Memo(lambda j: _Memo(
+            lambda k: dirs.product((i, j, k), 1))))
 
     def accumulate(self, f1, f2, triples) -> dict[int, int]:
         """Integer sums of ``f1 * f2 - sum of g1 * g2 * g3`` over triples,
@@ -277,7 +300,7 @@ class _Kernel:
     def _fold(self, acc: dict[int, int]) -> list[list[int]]:
         """Integer coordinates per sign monomial (scaled by ``L**3 * B``)."""
         coords = [[0] * self.tower.degree for _ in range(4)]
-        sparse = self._sparse
+        sparse = self.dirs.sparse
         for key, v in acc.items():
             if v:
                 vec = coords[key & 3]
@@ -292,7 +315,7 @@ class _Kernel:
 
     def residual_scalar(self, inst_tuple) -> ParamScalar:
         """The pentagon residual rebuilt from the integer accumulators."""
-        scale = self.den_l ** 3 * self.den_b
+        scale = self.den_l ** 3 * self.dirs.den_b
         coords = self._fold(self.pentagon(inst_tuple))
         return ParamScalar(self.tower, {
             (m & 1, m >> 1): FieldScalar(self.tower, tuple(vec), scale)

@@ -211,6 +211,30 @@ def test_kernel_differential_gauge_and_negations(table, h3):
     assert nonzero > 0
 
 
+def test_field_valued_gauge(table, h3):
+    """Irrational gauge values bring new field directions into the table;
+    the kernel forms their products on demand and stays exact."""
+    rng = random.Random(77)
+    tower = h3.tower
+    values = [tower.one() + tower.gen(0), tower.gen(1) - 2, tower.gen(2)]
+    gauge = GaugeAssignment(h3)
+    vertices = [(a, b, c) for a in range(1, len(h3)) for b in range(1, len(h3))
+                for c in h3.fusion(a, b) if c != h3.unit]
+    for vertex in rng.sample(vertices, 8):
+        gauge.set(*vertex, rng.choice(values))
+    gauged = table.apply_gauge(gauge)
+    assert (len(_Kernel(gauged).dirs.prims)
+            > len(_Kernel(table).dirs.prims))
+    assert verify_all(gauged).passed
+    assert check_additional(gauged).passed
+    instances, index = key_instance_index(h3)
+    assert _assert_kernel_agrees(gauged, rng.sample(instances, 40)) == 0
+    key = rng.choice(sorted(index))
+    mutated = negate_entry(gauged, key)
+    touching = [instances[pos] for pos in index[key]]
+    assert _assert_kernel_agrees(mutated, touching[:20]) > 0
+
+
 def test_invert_param_matrix_mixed_monomials(table, h3):
     tower = h3.tower
     p1 = ParamScalar.param(tower, 1)
