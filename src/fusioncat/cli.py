@@ -1,6 +1,8 @@
 """Command-line surface: verify, count, render, skein, solve, export.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  All commands
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (any other exception, as one stderr line), 141 (128 + SIGPIPE, quiet)
+when the reader of standard output goes away, as in ``| head``.  All commands
 are deterministic given their flags; ``render`` output is byte-identical
 across platforms (integer-only pixel math after a 64-bit approximation).
 """
@@ -25,6 +27,8 @@ from .solver import compare_to_dataset, propagate, seed, solve
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as shell pipelines expect
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -295,13 +299,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must show here, not at exit
+        return code
+    except (InputError, DatasetParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (DatasetParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # output still buffered would fail again at exit: send it nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

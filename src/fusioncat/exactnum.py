@@ -530,12 +530,6 @@ def tower_preset(name: str) -> TowerSpec:
     return _TOWERS[name]
 
 
-_CONSTANT_NAMES = (
-    "dRho", "A", "B", "C", "Dplus", "Dminus", "sqrtA", "bBigon", "tTriangle",
-    "c1", "c2",
-)
-
-
 def named_constant(name: str, tower: TowerSpec | None = None) -> FieldScalar:
     """Exact values of the constants used by the H3 data set.
 
@@ -595,6 +589,52 @@ def approx(x: FieldScalar, precision_bits: int = 53) -> float:
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
     return float(x.approx_fraction(precision_bits))
+
+
+# ---------------------------------------------------------------------------
+# exact linear elimination
+
+def add_scaled(row: dict, other: dict, f: FieldScalar | None = None) -> None:
+    """Add ``f * other`` (``other`` when f is None) to ``row`` in place.
+
+    Both map keys to :class:`FieldScalar` values; entries that come out zero
+    are dropped, so a row that holds only nonzero entries keeps doing so.
+    """
+    for k, v in other.items():
+        if f is not None:
+            v = f * v
+        w = row[k] + v if k in row else v
+        if w.is_zero():
+            row.pop(k, None)
+        else:
+            row[k] = w
+
+
+def gauss_jordan(rows: list[dict], columns) -> dict:
+    """Sparse exact Gauss-Jordan elimination of ``rows``, in place.
+
+    Each row maps a column to its nonzero :class:`FieldScalar` entry.  For
+    each column in the given order the pivot is the first row not yet used
+    as a pivot row that has an entry there; it is scaled to 1 in that column
+    and the column is cleared from every other row.  Returns the map from
+    column to pivot row; a column without a pivot is absent from it.
+    """
+    free = list(range(len(rows)))
+    pivots = {}
+    for col in columns:
+        i = next((i for i in free if col in rows[i]), None)
+        if i is None:
+            continue
+        free.remove(i)
+        src = rows[i]
+        inv = src[col].inverse()
+        for k in src:
+            src[k] = src[k] * inv
+        for row in rows:
+            if row is not src and col in row:
+                add_scaled(row, src, -row[col])
+        pivots[col] = src
+    return pivots
 
 
 # ---------------------------------------------------------------------------

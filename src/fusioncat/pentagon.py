@@ -32,7 +32,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator
 
-from .exactnum import FieldScalar, ParamScalar, named_constant, render_scalar
+from .exactnum import (FieldScalar, ParamScalar, gauss_jordan, named_constant,
+                       render_scalar)
 from .fsymbols import FSymbolTable, BlockReport
 from .fusionring import FKey, FusionRing, f_blocks
 
@@ -476,21 +477,15 @@ def find_failing_instance(table: FSymbolTable, key: FKey,
 # below gauge invariant.
 
 def _field_matrix_inverse(tower, m):
+    """Inverse of a matrix over the field, by reducing [m | I]."""
     n = len(m)
-    aug = [list(row) + [tower.one() if i == j else tower.zero()
-                        for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("block matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
+            | {n + i: tower.one()} for i, row in enumerate(m)]
+    pivots = gauss_jordan(rows, range(n))
+    if len(pivots) < n:
+        raise ValueError("block matrix is singular")
+    return [[pivots[r].get(n + c, tower.zero()) for c in range(n)]
+            for r in range(n)]
 
 
 def _invert_param_matrix(tower, m):
@@ -534,7 +529,8 @@ def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
     """Map key -> entry of the inverse block at (row f, column e).
 
     Addressed by the same keys as the table itself, so the starred factor
-    (F_u^{abc})*_{f e} is ``starred[key(a, b, c, u, e, f)]``.
+    (F_u^{abc})*_{f e} is ``starred[key(a, b, c, u, e, f)]``.  A singular
+    block raises ValueError naming it.
     """
     out: dict[FKey, ParamScalar] = {}
     for blk in f_blocks(table.ring):
@@ -546,7 +542,11 @@ def _starred_block(table: FSymbolTable, a: int, b: int, c: int,
                    u: int) -> dict[FKey, ParamScalar]:
     """The starred entries of one block, keyed as in :func:`starred_entries`."""
     ring = table.ring
-    inv = _invert_param_matrix(ring.tower, table.f_matrix(a, b, c, u))
+    try:
+        inv = _invert_param_matrix(ring.tower, table.f_matrix(a, b, c, u))
+    except ValueError as exc:
+        t = ring.token
+        raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None
     return {FKey(a, b, c, u, e, f): inv[fi][ei]
             for ei, e in enumerate(ring.e_labels(a, b, c, u))
             for fi, f in enumerate(ring.f_labels(a, b, c, u))}
@@ -602,7 +602,12 @@ def check_additional(table: FSymbolTable) -> BlockReport:
     fus = ring._fusion
     n = len(ring)
     report = BlockReport("additional")
-    kernel = _Kernel(table, starred=starred_entries(table))
+    try:
+        starred = starred_entries(table)
+    except ValueError as exc:  # a singular block has no starred entries
+        report.failures.append(str(exc))
+        return report
+    kernel = _Kernel(table, starred=starred)
     V = kernel.values
     S = kernel.starred
     for a in range(n):
@@ -647,7 +652,11 @@ def check_addtriv(table: FSymbolTable) -> BlockReport:
     report = BlockReport("addtriv (gauge-dependent: data-set gauge only)")
     g = table.entries
     r = ring.label("r")
-    starred = _starred_block(table, r, r, r, r)
+    try:
+        starred = _starred_block(table, r, r, r, r)
+    except ValueError as exc:
+        report.failures.append(str(exc))
+        return report
     unit = ring.unit
     c1 = ParamScalar.from_field(named_constant("c1"))
     c2 = ParamScalar.from_field(named_constant("c2"))

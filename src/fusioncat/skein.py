@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import FieldScalar, TowerSpec, named_constant, tower_preset
+from .exactnum import (FieldScalar, TowerSpec, gauss_jordan, named_constant,
+                       tower_preset)
 
 
 class SkeinReductionError(ValueError):
@@ -442,24 +443,6 @@ def gram_matrix(basis, params: SkeinParams) -> list[list[FieldScalar]]:
     return [[pair(wi, wj, params) for wj in basis] for wi in basis]
 
 
-def _solve_linear(mat, rhs):
-    """Exact Gaussian elimination; raises on a singular matrix."""
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("degenerate parameters")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def square_pop_closed_form(params: SkeinParams) -> tuple[FieldScalar, FieldScalar]:
     """The printed closed forms for the square expansion coefficients."""
     d, b, t = params.d, params.b, params.t
@@ -479,9 +462,14 @@ def derive_square_pop(params: SkeinParams) -> tuple[FieldScalar, FieldScalar]:
     """
     basis = c4_basis()
     square = square_graph()
-    gram = gram_matrix(basis, params)
-    rhs = [pair(square, w, params) for w in basis]
-    coeffs = _solve_linear(gram, rhs)
+    n = len(basis)
+    rows = [{j: v for j, v in enumerate(row + [pair(square, w, params)])
+             if not v.is_zero()}
+            for row, w in zip(gram_matrix(basis, params), basis)]
+    pivots = gauss_jordan(rows, range(n))
+    if len(pivots) < n:
+        raise ValueError("degenerate parameters")
+    coeffs = [pivots[i].get(n, params.tower.zero()) for i in range(n)]
     if coeffs[0] != coeffs[1] or coeffs[2] != coeffs[3]:
         raise AssertionError("square expansion lost its symmetry")
     return coeffs[0], coeffs[2]

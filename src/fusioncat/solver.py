@@ -24,7 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .exactnum import FieldScalar, ParamScalar, field_sqrt, named_constant, render_scalar
+from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
+                       gauss_jordan, named_constant, render_scalar)
 from .fsymbols import FSymbolTable
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
 from .pentagon import _raw_instances, verify_all
@@ -94,46 +95,6 @@ def seed(ring: FusionRing) -> PartialTable:
         log.append("all-rho diagonal entry fixed to -B (skein triangle value)")
         log.append("square-pop relations registered (data-set gauge)")
     return PartialTable(ring, known, log)
-
-
-# ---------------------------------------------------------------------------
-# polynomial plumbing
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        if m in out:
-            s = out[m] + c
-            if s.is_zero():
-                del out[m]
-            else:
-                out[m] = s
-        else:
-            out[m] = c
-    return out
-
-
-def _poly_scale(p: Poly, c: FieldScalar) -> Poly:
-    if c.is_zero():
-        return {}
-    return {m: v * c for m, v in p.items()}
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            c = c1 * c2
-            if m in out:
-                s = out[m] + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
-            elif not c.is_zero():
-                out[m] = c
-    return out
 
 
 class _System:
@@ -211,8 +172,8 @@ class _System:
                 continue
             poly = self._term(slots[:2])
             for i in range(len(esum)):
-                rhs = self._term(slots[2 + 3 * i: 5 + 3 * i])
-                poly = _poly_add(poly, _poly_scale(rhs, minus_one))
+                add_scaled(poly, self._term(slots[2 + 3 * i: 5 + 3 * i]),
+                           minus_one)
             self._push(poly)
 
     def _build_orthogonality(self) -> None:
@@ -230,17 +191,15 @@ class _System:
                     for pairs in (rows, cols):
                         poly: Poly = {}
                         for k1, k2 in pairs:
-                            t = self._term([k1, k2])
-                            poly = _poly_add(poly, t)
+                            add_scaled(poly, self._term([k1, k2]))
                         if i == j:
-                            poly = _poly_add(poly, {(): -one})
+                            add_scaled(poly, {(): -one})
                         self._push(poly)
 
     def _add_registered(self, factor_keys, rhs_terms) -> None:
         poly = self._term(factor_keys)
         for items in rhs_terms:
-            poly = _poly_add(poly, _poly_scale(self._term(items),
-                                               -self.ring.tower.one()))
+            add_scaled(poly, self._term(items), -self.ring.tower.one())
         self._push(poly)
 
     # -- conclusions ---------------------------------------------------------
@@ -307,15 +266,7 @@ class _System:
                     r, f = find(i)
                     ids.append(r)
                     coeff = coeff * f
-                m = tuple(sorted(ids))
-                if m in new:
-                    s = new[m] + coeff
-                    if s.is_zero():
-                        del new[m]
-                    else:
-                        new[m] = s
-                elif not coeff.is_zero():
-                    new[m] = coeff
+                add_scaled(new, {tuple(sorted(ids)): coeff})
             if new:
                 if all(m == () for m in new):
                     if self.contradiction is None:
@@ -361,28 +312,8 @@ class _System:
     def eliminated(self, equations=None) -> list[Poly]:
         """Row-reduce over unknown monomials; returns the reduced rows."""
         rows = [dict(p) for p in (self.equations if equations is None else equations)]
-        monos = sorted({m for p in rows for m in p if m},
-                       key=lambda m: (-len(m), m))
-        for pivot in monos:
-            src = None
-            for row in rows:
-                if pivot in row and not row[pivot].is_zero():
-                    src = row
-                    break
-            if src is None:
-                continue
-            inv = src[pivot].inverse()
-            norm = {m: c * inv for m, c in src.items()}
-            for row in rows:
-                if row is src or pivot not in row:
-                    continue
-                f = row[pivot]
-                for m, c in norm.items():
-                    v = row.get(m, self.ring.tower.zero()) - f * c
-                    if v.is_zero():
-                        row.pop(m, None)
-                    else:
-                        row[m] = v
+        gauss_jordan(rows, sorted({m for p in rows for m in p if m},
+                                  key=lambda m: (-len(m), m)))
         return [r for r in rows if r]
 
 

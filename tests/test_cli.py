@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+from fusioncat import cli
 from fusioncat.fsymbols import build_h3_table
 
 EXPECTED_ENTRIES = 1431
@@ -65,6 +66,44 @@ def test_verify_flipped_sign_fails(tmp_path):
     proc = run_cli("verify", "--dataset", str(path))
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_singular_blocks_fail_verification(tmp_path):
+    lines = [line.partition(" = ")[0] + " = 0" if " = " in line else line
+             for line in build_h3_table().serialize().splitlines()]
+    path = tmp_path / "zero.fsym"
+    path.write_text("\n".join(lines) + "\n")
+    proc = run_cli("verify", "--dataset", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL] orthogonality" in proc.stdout
+    assert "block matrix is singular: (r,r,r;r)" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_broken_pipe_is_quiet(monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "sink", "w") as sink:
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["count", "--builtin", "z3"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_count", crash)
+    assert cli.main(["count"]) == cli.EXIT_INTERNAL_ERROR == 3
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
 def test_parse_error_exit_code(tmp_path):

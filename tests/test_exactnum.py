@@ -8,9 +8,10 @@ import pytest
 from fusioncat.exactnum import (MAX_NESTING_DEPTH, ParamScalar,
                                 ScalarParseError, _vec_inv, approx,
                                 field_add, field_inv, field_mul, field_sqrt,
-                                is_zero, named_constant, param_mul,
-                                param_substitute, parse_scalar,
+                                gauss_jordan, is_zero, named_constant,
+                                param_mul, param_substitute, parse_scalar,
                                 render_scalar, tower_preset)
+from fusioncat.pentagon import _invert_param_matrix
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +201,52 @@ def test_inverse_on_every_tower(name):
     assert checked > 30
     with pytest.raises(ZeroDivisionError, match="division by zero"):
         tower.zero().inverse()
+
+
+@pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])
+def test_gauss_jordan_inverts_on_every_tower(name):
+    tower = tower_preset(name)
+    rng = random.Random(47)
+    zero, one = tower.zero(), tower.one()
+
+    def element():
+        while True:
+            x = tower.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                   if rng.random() < 0.6 else 0
+                                   for _ in range(tower.degree)])
+            if not x.is_zero():
+                return x
+
+    def reduce(m):
+        n = len(m)
+        rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
+                | {n + i: one} for i, row in enumerate(m)]
+        return gauss_jordan(rows, range(n))
+
+    inverted = 0
+    for trial in range(40):
+        n = trial % 4 + 1
+        m = [[element() for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 8 >= 4:
+            m[0][0] = zero  # the first pivot must come from a later row
+        pivots = reduce(m)
+        if len(pivots) < n:
+            continue
+        inv = [[pivots[r].get(n + c, zero) for c in range(n)] for r in range(n)]
+        for i in range(n):
+            for j in range(n):
+                got = sum((m[i][k] * inv[k][j] for k in range(n)), start=zero)
+                assert got == (one if i == j else zero)
+        inverted += 1
+    assert inverted >= 36
+    # singular: the third row is the first plus a multiple of the second
+    m = [[element() for _ in range(3)] for _ in range(2)]
+    f = element()
+    m.append([a + f * b for a, b in zip(*m)])
+    assert len(reduce(m)) == 2
+    with pytest.raises(ValueError, match="block matrix is singular"):
+        _invert_param_matrix(tower, [[ParamScalar.from_field(v) for v in row]
+                                     for row in m])
 
 
 def test_parse_rejects_deep_nesting(h3):

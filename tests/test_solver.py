@@ -1,13 +1,14 @@
 """Seeded propagation solver against independently brute-forced oracles."""
 
+from fractions import Fraction
 from itertools import product
 
 from fusioncat.exactnum import FieldScalar
 from fusioncat.fsymbols import all_ones_table, build_h3_table
 from fusioncat.fusionring import FKey, builtin_ring, enumerate_fkeys
 from fusioncat.pentagon import _raw_instances, verify_all
-from fusioncat.solver import (PartialTable, compare_to_dataset, propagate,
-                              seed, solve)
+from fusioncat.solver import (PartialTable, _System, compare_to_dataset,
+                              propagate, seed, solve)
 
 
 def _pentagon_holds(ring, values: dict[FKey, FieldScalar]) -> bool:
@@ -180,3 +181,22 @@ def test_h3_propagation_report():
     assert report.seeds == 173
     assert report.remaining == 1431 - len(state.known)
     assert compare_to_dataset(state, build_h3_table()).all_exact
+
+
+def test_elimination_uses_each_pivot_row_once():
+    # x0 + x1 + 1 = 0, x0 + x2 + 2 = 0, x1 + 3*x2 = 0 reduce to
+    # x0 = -7/4, x1 = 3/4, x2 = -1/4; reusing a pivot row would bring a
+    # cleared unknown back into the other rows
+    z3 = builtin_ring("z3_pointed")
+    system = _System(seed(z3), [])
+    q = z3.tower.from_rational
+    equations = [{(0,): q(1), (1,): q(1), (): q(1)},
+                 {(0,): q(1), (2,): q(1), (): q(2)},
+                 {(1,): q(1), (2,): q(3)}]
+    rows = system.eliminated(equations)
+    for pivot in ((0,), (1,), (2,)):
+        assert sum(pivot in row for row in rows) == 1
+    assert {tuple(sorted(r.items())) for r in rows} == {
+        (((), q(Fraction(7, 4))), ((0,), q(1))),
+        (((), q(Fraction(-3, 4))), ((1,), q(1))),
+        (((), q(Fraction(1, 4))), ((2,), q(1)))}
