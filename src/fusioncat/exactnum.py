@@ -70,6 +70,8 @@ class TowerSpec:
             for i in range(deg))
         object.__setattr__(self, "_ptab", ptab)
         object.__setattr__(self, "_pden", den)
+        # generator enclosures per precision, filled by _gen_intervals
+        object.__setattr__(self, "_gen_ivs", {})
 
     def zero(self) -> FieldScalar:
         return FieldScalar(self, (0,) * self.degree, 1)
@@ -326,9 +328,6 @@ class FieldScalar:
     def is_zero(self) -> bool:
         return not any(self._num)
 
-    def is_rational(self) -> bool:
-        return not any(self._num[1:])
-
     def __repr__(self):
         return f"FieldScalar({self.tower.name}, {render_scalar(self)})"
 
@@ -366,7 +365,11 @@ def _int_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
     return (min(p), max(p))
 
 
-def _gen_intervals(tower: TowerSpec, bits: int) -> list[tuple[Fraction, Fraction]]:
+def _gen_intervals(tower: TowerSpec, bits: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Enclosures of the adjoined square roots, computed once per precision."""
+    gens = tower._gen_ivs.get(bits)
+    if gens is not None:
+        return gens
     gens = []
     for i, sq in enumerate(tower.squares):
         # evaluate the adjoined square over the already-known generators
@@ -376,6 +379,7 @@ def _gen_intervals(tower: TowerSpec, bits: int) -> list[tuple[Fraction, Fraction
         slo, _ = _isqrt_interval(lo.numerator, lo.denominator, bits) if lo > 0 else (_ZERO, None)
         _, shi = _isqrt_interval(hi.numerator, hi.denominator, bits)
         gens.append((slo, shi))
+    gens = tower._gen_ivs[bits] = tuple(gens)
     return gens
 
 

@@ -80,9 +80,9 @@ class FSymbolTable:
     def __init__(self, ring: FusionRing, entries: dict[FKey, ParamScalar]):
         self.ring = ring
         self.entries = entries
-        expected = set(enumerate_fkeys(ring))
-        got = set(entries)
-        if got != expected:
+        expected = ring.admissible_keys
+        if entries.keys() != expected:
+            got = set(entries)
             missing = len(expected - got)
             extra = len(got - expected)
             raise ValueError(

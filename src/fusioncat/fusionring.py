@@ -14,6 +14,7 @@ so N_f^{ab} = N_u^{fc} = 1) and ``e`` on the right-associated tree
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, NamedTuple
 
@@ -151,6 +152,34 @@ class FusionRing:
     def f_labels(self, a: int, b: int, c: int, u: int) -> tuple[int, ...]:
         return tuple(f for f in self.fusion(a, b) if self._n[f][c][u])
 
+    # built on first use and kept for the ring's lifetime; immutable, so no
+    # caller can change them
+
+    @cached_property
+    def _blocks(self) -> tuple["FBlock", ...]:
+        blocks = []
+        n = len(self)
+        for a, b, c, u in product(range(n), repeat=4):
+            es = self.e_labels(a, b, c, u)
+            fs = self.f_labels(a, b, c, u)
+            if not es and not fs:
+                continue
+            if len(es) != len(fs):
+                raise AssertionError(
+                    f"block ({a},{b},{c};{u}) is not square: {len(fs)}x{len(es)}")
+            blocks.append(FBlock(a, b, c, u, es, fs))
+        return tuple(blocks)
+
+    @cached_property
+    def _fkeys(self) -> tuple[FKey, ...]:
+        return tuple(sorted((k for blk in self._blocks for k in blk.keys()),
+                            key=lambda k: k.sort_key))
+
+    @cached_property
+    def admissible_keys(self) -> frozenset[FKey]:
+        """The set of all admissible keys."""
+        return frozenset(self._fkeys)
+
 
 @dataclass(frozen=True)
 class FBlock:
@@ -175,25 +204,12 @@ class FBlock:
 
 def f_blocks(ring: FusionRing) -> list[FBlock]:
     """All F-matrices of the ring, ordered by (a, b, c, u)."""
-    blocks = []
-    n = len(ring)
-    for a, b, c, u in product(range(n), repeat=4):
-        es = ring.e_labels(a, b, c, u)
-        fs = ring.f_labels(a, b, c, u)
-        if not es and not fs:
-            continue
-        if len(es) != len(fs):
-            raise AssertionError(
-                f"block ({a},{b},{c};{u}) is not square: {len(fs)}x{len(es)}")
-        blocks.append(FBlock(a, b, c, u, es, fs))
-    return blocks
+    return list(ring._blocks)
 
 
 def enumerate_fkeys(ring: FusionRing) -> list[FKey]:
     """All admissible keys, ordered lexicographically by (a, b, c, u, f, e)."""
-    keys = [k for blk in f_blocks(ring) for k in blk.keys()]
-    keys.sort(key=lambda k: k.sort_key)
-    return keys
+    return list(ring._fkeys)
 
 
 def n(ring: FusionRing, a, b, c) -> int:

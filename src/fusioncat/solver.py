@@ -17,11 +17,25 @@ constraints (valid in the data-set gauge only).  Branches are explored
 depth-first; any equation with no unknowns and a nonzero constant kills its
 branch.  Every completed table is re-verified with the independent pentagon
 and orthogonality checkers before it is returned.
+
+The pentagon and orthogonality equations of a ring are compiled once per
+ring object, on first use, into a plan (:class:`_Plan`) of key positions in
+one flat array; a key's position in ``enumerate_fkeys`` order is also its
+id as an unknown.  A fold (:class:`_Fold`) keeps the outcome of every
+equation over one assignment in plan order: dropped, an equation over the
+unknowns, or a contradiction.  Each propagation round moves the fold to the
+current knowns, re-folding only the equations that read a key whose value
+changed, and a branch child of :func:`solve` starts from its parent's fold.
+The round's system is then read off in plan order, so it has exactly the
+equations and the first contradiction of a fold from scratch.
 """
 
 from __future__ import annotations
 
+import copy
 import time
+import weakref
+from array import array
 from dataclasses import dataclass, field
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
@@ -38,9 +52,15 @@ class PartialTable:
     ring: FusionRing
     known: dict[FKey, FieldScalar]
     gauge_log: list[str] = field(default_factory=list)
+    # the equations folded over an earlier state of ``known`` (set by
+    # propagate), from which the next propagate re-folds only what changed
+    _fold: "_Fold | None" = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def copy(self) -> "PartialTable":
-        return PartialTable(self.ring, dict(self.known), list(self.gauge_log))
+        out = PartialTable(self.ring, dict(self.known), list(self.gauge_log))
+        out._fold = self._fold
+        return out
 
     def as_table(self) -> FSymbolTable:
         entries = {k: ParamScalar.from_field(v) for k, v in self.known.items()}
@@ -97,110 +117,210 @@ def seed(ring: FusionRing) -> PartialTable:
     return PartialTable(ring, known, log)
 
 
-class _System:
-    """Equations of one propagation round, folded over the current knowns."""
+_PENTAGON_CONTRADICTION = "nonzero residual on a fully-known pentagon instance"
+_KNOWN_CONTRADICTION = "fully-known equation has nonzero residual"
 
-    def __init__(self, partial: PartialTable, registered, max_unknowns: int = 4):
-        self.ring = partial.ring
-        self.known = partial.known
-        self.max_unknowns = max_unknowns
-        self.unknown_ids: dict[FKey, int] = {}
-        self.unknown_keys: list[FKey] = []
-        for k in enumerate_fkeys(self.ring):
-            if k not in self.known:
-                self.unknown_ids[k] = len(self.unknown_keys)
-                self.unknown_keys.append(k)
-        self.equations: list[Poly] = []
-        self.contradiction: str | None = None
-        self._build_pentagon()
-        self._build_orthogonality()
-        for factors_keys, rhs_terms in registered:
-            self._add_registered(factors_keys, rhs_terms)
 
-    # -- equation assembly -------------------------------------------------
+class _Plan:
+    """The pentagon and orthogonality equations of one ring, as key positions.
 
-    def _term(self, keys_and_consts) -> Poly:
-        """Product of table keys and field constants as a one-term Poly."""
-        coeff = self.ring.tower.one()
-        mono: list[int] = []
-        for item in keys_and_consts:
-            if isinstance(item, FieldScalar):
-                coeff = coeff * item
-            else:
-                v = self.known.get(item)
-                if v is None:
-                    mono.append(self.unknown_ids[item])
-                else:
-                    coeff = coeff * v
-        if coeff.is_zero():
-            return {}
-        return {tuple(sorted(mono)): coeff}
+    A key's position is its index in ``enumerate_fkeys`` order; an unknown
+    key's id is its position.  Equation ``i`` reads the slots
+    ``slots[offsets[i]:offsets[i + 1]]``.  The pentagon equations come first,
+    in instance order, each with its two left-hand keys and then three keys
+    per summand; then, block by block, the row and column orthogonality
+    equations, each with its pairs of keys and, when it is listed in
+    ``diagonal``, a constant -1.
+    """
 
-    def _push(self, poly: Poly) -> None:
-        if not poly:
-            return
-        unknowns = {i for m in poly for i in m}
-        if not unknowns:
-            if self.contradiction is None and any(m == () for m in poly):
-                self.contradiction = "fully-known equation has nonzero residual"
-            return
-        if len(unknowns) > self.max_unknowns:
-            return
-        self.equations.append(poly)
-
-    def _build_pentagon(self) -> None:
-        known = self.known
-        minus_one = -self.ring.tower.one()
-        for tup in _raw_instances(self.ring):
-            x, y, z, w, u, a, b, c, d, esum = tup
-            slots = [FKey(x, y, c, u, d, a), FKey(a, z, w, u, c, b)]
+    def __init__(self, ring: FusionRing):
+        self.keys = tuple(enumerate_fkeys(ring))
+        pos = {k: i for i, k in enumerate(self.keys)}
+        slots = array("H")
+        offsets = array("I", [0])
+        for x, y, z, w, u, a, b, c, d, esum in _raw_instances(ring):
+            slots.append(pos[x, y, c, u, d, a])
+            slots.append(pos[a, z, w, u, c, b])
             for t in esum:
-                slots += [FKey(y, z, w, d, c, t), FKey(x, t, w, u, d, b),
-                          FKey(x, y, z, b, t, a)]
-            n_unknown = sum(1 for k in slots if k not in known)
-            if n_unknown > self.max_unknowns:
-                continue
-            if n_unknown == 0:
-                # consistency pruning: a fully-known instance must balance
-                lhs = known[slots[0]] * known[slots[1]]
-                for i in range(len(esum)):
-                    k3, k4, k5 = slots[2 + 3 * i: 5 + 3 * i]
-                    lhs = lhs - known[k3] * known[k4] * known[k5]
-                if not lhs.is_zero() and self.contradiction is None:
-                    self.contradiction = (
-                        "nonzero residual on a fully-known pentagon instance")
-                continue
-            poly = self._term(slots[:2])
-            for i in range(len(esum)):
-                add_scaled(poly, self._term(slots[2 + 3 * i: 5 + 3 * i]),
-                           minus_one)
-            self._push(poly)
-
-    def _build_orthogonality(self) -> None:
-        one = self.ring.tower.one()
-        for blk in f_blocks(self.ring):
+                slots.extend((pos[y, z, w, d, c, t], pos[x, t, w, u, d, b],
+                              pos[x, y, z, b, t, a]))
+            offsets.append(len(slots))
+        self.n_pentagon = len(offsets) - 1
+        diagonal = []
+        for blk in f_blocks(ring):
+            a, b, c, u = blk.a, blk.b, blk.c, blk.u
             es, fs = blk.e_labels, blk.f_labels
             for i in range(blk.dim):
                 for j in range(i, blk.dim):
-                    rows = [(FKey(blk.a, blk.b, blk.c, blk.u, es[i], f),
-                             FKey(blk.a, blk.b, blk.c, blk.u, es[j], f))
+                    rows = [(pos[a, b, c, u, es[i], f], pos[a, b, c, u, es[j], f])
                             for f in fs]
-                    cols = [(FKey(blk.a, blk.b, blk.c, blk.u, e, fs[i]),
-                             FKey(blk.a, blk.b, blk.c, blk.u, e, fs[j]))
+                    cols = [(pos[a, b, c, u, e, fs[i]], pos[a, b, c, u, e, fs[j]])
                             for e in es]
                     for pairs in (rows, cols):
-                        poly: Poly = {}
-                        for k1, k2 in pairs:
-                            add_scaled(poly, self._term([k1, k2]))
                         if i == j:
-                            add_scaled(poly, {(): -one})
-                        self._push(poly)
+                            diagonal.append(len(offsets) - 1)
+                        for pair in pairs:
+                            slots.extend(pair)
+                        offsets.append(len(slots))
+        self.slots = slots
+        self.offsets = offsets
+        self.diagonal = frozenset(diagonal)
+        self.n_equations = len(offsets) - 1
+        self.one = ring.tower.one()
+        self._by_key: list[array] | None = None
 
-    def _add_registered(self, factor_keys, rhs_terms) -> None:
-        poly = self._term(factor_keys)
-        for items in rhs_terms:
-            add_scaled(poly, self._term(items), -self.ring.tower.one())
-        self._push(poly)
+    def equations_of(self, positions) -> set[int]:
+        """The equations that read any of the given key positions."""
+        if self._by_key is None:
+            by_key = [array("I") for _ in self.keys]
+            slots, offsets = self.slots, self.offsets
+            for i in range(self.n_equations):
+                for p in set(slots[offsets[i]:offsets[i + 1]]):
+                    by_key[p].append(i)
+            self._by_key = by_key
+        out: set[int] = set()
+        for p in positions:
+            out.update(self._by_key[p])
+        return out
+
+
+_PLANS: "weakref.WeakKeyDictionary[FusionRing, _Plan]" = weakref.WeakKeyDictionary()
+
+
+def _plan(ring: FusionRing) -> _Plan:
+    plan = _PLANS.get(ring)
+    if plan is None:
+        plan = _PLANS[ring] = _Plan(ring)
+    return plan
+
+
+def _compiled_term(plan: _Plan, items, negated: bool):
+    """A product of field constants and keys as (factor, positions, negated)."""
+    factor = None
+    positions = []
+    for item in items:
+        if isinstance(item, FieldScalar):
+            factor = item if factor is None else factor * item
+        else:
+            positions.append(plan.keys.index(item))
+    return factor, tuple(positions), negated
+
+
+class _Fold:
+    """The outcome of every equation of a plan, plus the registered
+    constraints, over one assignment, kept in plan order.
+
+    An outcome is None (no equation: it cancels or has more than
+    ``max_unknowns`` unknowns), an equation (Poly) or a contradiction
+    message.  :meth:`updated` re-folds only the equations that read a key
+    whose value changed, so the outcomes always equal those of a fold from
+    scratch.
+    """
+
+    __slots__ = ("plan", "registered", "max_unknowns", "values", "outcomes")
+
+    def __init__(self, plan: _Plan, registered, max_unknowns: int):
+        self.plan = plan
+        self.max_unknowns = max_unknowns
+        # each constraint as (factor, positions, negated) terms: its
+        # left-hand side, then its right-hand terms subtracted
+        self.registered = [
+            [_compiled_term(plan, items, negated)
+             for items, negated in [(lhs, False)] + [(t, True) for t in rhs]]
+            for lhs, rhs in registered]
+        self.values: list[FieldScalar | None] = []
+        self.outcomes: list | None = None
+
+    def updated(self, known: dict[FKey, FieldScalar]) -> "_Fold":
+        """This fold moved to ``known``; self is left as it is."""
+        plan = self.plan
+        values = [known.get(k) for k in plan.keys]
+        n_plan = plan.n_equations
+        if self.outcomes is None:
+            touched = range(n_plan + len(self.registered))
+        else:
+            changed = {p for p, (v, w) in enumerate(zip(values, self.values))
+                       if v is not w}
+            if not changed:
+                return self
+            touched = plan.equations_of(changed)
+            touched.update(
+                n_plan + r for r, terms in enumerate(self.registered)
+                if any(p in changed for _, pos, _ in terms for p in pos))
+        new = copy.copy(self)
+        new.values = values
+        new.outcomes = ([None] * (n_plan + len(self.registered))
+                        if self.outcomes is None else list(self.outcomes))
+        for i in touched:
+            new.outcomes[i] = new._fold(i)
+        return new
+
+    def _fold(self, i: int):
+        values = self.values
+        plan = self.plan
+        n_unknown = None
+        diagonal = False
+        if i < plan.n_equations:
+            sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
+            if i < plan.n_pentagon:
+                n_unknown = [values[p] is None for p in sl].count(True)
+                if n_unknown > self.max_unknowns:
+                    return None
+                terms = [(None, sl[:2], False)] + [
+                    (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
+            else:
+                terms = [(None, sl[k:k + 2], False) for k in range(0, len(sl), 2)]
+                diagonal = i in plan.diagonal
+        else:
+            terms = self.registered[i - plan.n_equations]
+        poly: Poly = {}
+        for factor, positions, negated in terms:
+            coeff = factor
+            mono = []
+            for p in positions:
+                v = values[p]
+                if v is None:
+                    mono.append(p)
+                else:
+                    coeff = v if coeff is None else coeff * v
+            if coeff is None:
+                coeff = plan.one
+            if coeff.is_zero():
+                continue
+            add_scaled(poly, {tuple(sorted(mono)): -coeff if negated else coeff})
+        if diagonal:
+            add_scaled(poly, {(): -plan.one})
+        if not poly:
+            return None
+        unknowns = {p for m in poly for p in m}
+        if not unknowns:
+            return (_PENTAGON_CONTRADICTION if n_unknown == 0
+                    else _KNOWN_CONTRADICTION)
+        if len(unknowns) > self.max_unknowns:
+            return None
+        return poly
+
+
+class _System:
+    """Equations of one propagation round, folded over the current knowns.
+
+    The equations are the outcomes of ``fold`` (a :class:`_Fold` of the same
+    registered constraints and bound over an earlier assignment, or a fold
+    from scratch when it is None) moved to the partial table's knowns; the
+    moved fold is ``self.fold``.
+    """
+
+    def __init__(self, partial: PartialTable, registered,
+                 max_unknowns: int = 4, fold: _Fold | None = None):
+        self.ring = partial.ring
+        if fold is None:
+            fold = _Fold(_plan(self.ring), registered, max_unknowns)
+        self.fold = fold.updated(partial.known)
+        self.unknown_keys = self.fold.plan.keys
+        outcomes = self.fold.outcomes
+        self.equations: list[Poly] = [o for o in outcomes if o.__class__ is dict]
+        self.contradiction: str | None = next(
+            (o for o in outcomes if o.__class__ is str), None)
 
     # -- conclusions ---------------------------------------------------------
 
@@ -352,12 +472,16 @@ def propagate(partial: PartialTable, max_rounds: int | None = None,
     partial = partial.copy()
     ring = partial.ring
     registered = _registered_constraints(ring)
+    fold = partial._fold
+    if fold is not None and fold.max_unknowns != max_unknowns:
+        fold = None
     report = SolveReport(ring=ring.name, seeds=len(partial.known))
     start = time.monotonic()
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
         rounds += 1
-        system = _System(partial, registered, max_unknowns=max_unknowns)
+        system = _System(partial, registered, max_unknowns, fold)
+        fold = system.fold
         if system.contradiction:
             report.contradiction = system.contradiction
             break
@@ -398,6 +522,7 @@ def propagate(partial: PartialTable, max_rounds: int | None = None,
             continue
         report.branch_options = branch_options
         break
+    partial._fold = fold
     report.remaining = sum(
         1 for k in enumerate_fkeys(ring) if k not in partial.known)
     report.duration = time.monotonic() - start

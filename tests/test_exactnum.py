@@ -258,3 +258,11 @@ def test_parse_rejects_deep_nesting(h3):
                  "(" * (depth + 1) + "1" + ")" * (depth + 1)):
         with pytest.raises(ScalarParseError, match="nesting deeper than"):
             parse_scalar(text, h3)
+
+
+def test_generator_enclosures_are_reused(h3):
+    x = named_constant("c1") - named_constant("c2")
+    first = (x.sign(), x.approx_fraction(64), x.interval(100))
+    assert h3._gen_ivs
+    h3._gen_ivs.clear()
+    assert (x.sign(), x.approx_fraction(64), x.interval(100)) == first

@@ -125,3 +125,14 @@ def test_inadmissible_key_is_rejected(h3):
         h3.key("1", "r", "r", "ar", "r", "r")
     # the same block with the forced labels e = ar, f = r is fine
     h3.key("1", "r", "r", "ar", "ar", "r")
+
+
+def test_key_and_block_lists_are_fresh_copies():
+    fib = builtin_ring("fibonacci")
+    keys, blocks = enumerate_fkeys(fib), f_blocks(fib)
+    keys.clear()
+    blocks.pop()
+    assert len(enumerate_fkeys(fib)) == 15
+    assert len(f_blocks(fib)) == len(blocks) + 1
+    assert fib.admissible_keys == frozenset(enumerate_fkeys(fib))
+    assert all(fib.admissible(k) for k in fib.admissible_keys)

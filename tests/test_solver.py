@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+from fusioncat import solver
 from fusioncat.exactnum import FieldScalar
 from fusioncat.fsymbols import all_ones_table, build_h3_table
 from fusioncat.fusionring import FKey, builtin_ring, enumerate_fkeys
@@ -200,3 +201,67 @@ def test_elimination_uses_each_pivot_row_once():
         (((), q(Fraction(7, 4))), ((0,), q(1))),
         (((), q(Fraction(-3, 4))), ((1,), q(1))),
         (((), q(Fraction(1, 4))), ((2,), q(1)))}
+
+
+def _system_rows(system):
+    """A system's equations with their term order, and its contradiction."""
+    return [list(poly.items()) for poly in system.equations], system.contradiction
+
+
+def _checked_systems(monkeypatch):
+    """Make every system the solver builds from an earlier fold also build
+    itself from scratch, and assert that both agree; returns the log of
+    checked systems (one bool per system: whether it was incremental)."""
+    built = []
+    original = solver._System
+
+    class Checked(original):
+        def __init__(self, partial, registered, max_unknowns=4, fold=None):
+            super().__init__(partial, registered, max_unknowns, fold)
+            fresh = original(PartialTable(partial.ring, dict(partial.known)),
+                             registered, max_unknowns)
+            assert _system_rows(self) == _system_rows(fresh)
+            assert self.fold.outcomes == fresh.fold.outcomes
+            assert self.unknown_keys == fresh.unknown_keys
+            built.append(fold is not None)
+
+    monkeypatch.setattr(solver, "_System", Checked)
+    return built
+
+
+def test_incremental_fold_matches_fold_from_scratch(monkeypatch):
+    built = _checked_systems(monkeypatch)
+    # only the seed's first round folds from scratch: every later round,
+    # and the first round of every branch child, starts from an earlier fold
+    for name, count, systems in (("fibonacci", 2, 11), ("ising", 16, 239)):
+        del built[:]
+        assert len(solve(name)) == count
+        assert built == [False] + [True] * (systems - 1)
+    h3 = builtin_ring("h3")
+    del built[:]
+    state, report = propagate(seed(h3), max_rounds=1)
+    assert built == [False] and report.contradiction is None
+    # h3 from the empty assignment to the seeds: 173 keys change at once
+    registered = solver._registered_constraints(h3)
+    empty = _System(PartialTable(h3, {}), registered)
+    moved = _System(seed(h3), registered, 4, empty.fold)
+    fresh = _System(seed(h3), registered)
+    assert _system_rows(moved) == _system_rows(fresh)
+    assert moved.fold.outcomes == fresh.fold.outcomes
+    assert empty.fold.outcomes != moved.fold.outcomes
+
+
+def test_solver_search_is_pinned():
+    for name, nodes, count in (("fibonacci", 3, 2), ("ising", 47, 16)):
+        tables, report = solve(name, with_report=True)
+        assert report.branch_decisions == [f"explored {nodes} branch nodes"]
+        assert len(tables) == count
+    state, report = propagate(seed(builtin_ring("h3")))
+    assert (report.resolved, report.remaining) == (0, 1258)
+
+
+def test_system_builds_from_a_partial_table_alone():
+    z3 = builtin_ring("z3_pointed")
+    system = _System(seed(z3), [])
+    assert system.equations == [] and system.contradiction is None
+    assert list(system.unknown_keys) == enumerate_fkeys(z3)
