@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -60,12 +61,16 @@ class PentagonInstance:
 
     def keys(self) -> list[FKey]:
         """The five key families; the summed keys once per summand."""
-        x, y, z, w, u, a, b, c, d = self.labels
-        out = [FKey(x, y, c, u, d, a), FKey(a, z, w, u, c, b)]
-        for t in self.e_sum:
-            out += [FKey(y, z, w, d, c, t), FKey(x, t, w, u, d, b),
-                    FKey(x, y, z, b, t, a)]
-        return out
+        return list(map(FKey._make, _instance_keys(self.labels + (self.e_sum,))))
+
+
+def _instance_keys(tup) -> list[tuple]:
+    """The keys of a raw instance tuple as plain label tuples."""
+    x, y, z, w, u, a, b, c, d, esum = tup
+    out = [(x, y, c, u, d, a), (a, z, w, u, c, b)]
+    for t in esum:
+        out += [(y, z, w, d, c, t), (x, t, w, u, d, b), (x, y, z, b, t, a)]
+    return out
 
 
 def enumerate_instances(ring: FusionRing) -> Iterator[PentagonInstance]:
@@ -108,8 +113,19 @@ def _raw_instances_for_x(ring: FusionRing, x: int):
                                     yield (x, y, z, w, u, a, b, c, d, esum)
 
 
-def _is_unit_key(ring: FusionRing, k: FKey) -> bool:
-    return ring.unit in (k.a, k.b, k.c)
+def _is_identical(unit: int, tup) -> bool:
+    """The identical rule (see :func:`classify`) on a raw instance tuple."""
+    x, y, z, w, u, a, b, c, d, esum = tup
+    if len(esum) != 1:
+        return False
+    t = esum[0]
+    # the right side, one key longer, must drop one more unit-carrying key
+    if ((unit in (x, y, c)) + (unit in (a, z, w)) + 1
+            != (unit in (y, z, w)) + (unit in (x, t, w)) + (unit in (x, y, z))):
+        return False
+    keys = _instance_keys(tup)
+    return (sorted(k for k in keys[:2] if unit not in k[:3])
+            == sorted(k for k in keys[2:] if unit not in k[:3]))
 
 
 def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bool:
@@ -131,15 +147,7 @@ def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bo
     if rule == "unit":
         return ring.unit in (inst.x, inst.y, inst.z, inst.w)
     if rule == "identical":
-        x, y, z, w, u, a, b, c, d = inst.labels
-        lhs = [k for k in (FKey(x, y, c, u, d, a), FKey(a, z, w, u, c, b))
-               if not _is_unit_key(ring, k)]
-        if len(inst.e_sum) != 1:
-            return False
-        t = inst.e_sum[0]
-        rhs = [k for k in (FKey(y, z, w, d, c, t), FKey(x, t, w, u, d, b),
-                           FKey(x, y, z, b, t, a)) if not _is_unit_key(ring, k)]
-        return sorted(lhs) == sorted(rhs)
+        return _is_identical(ring.unit, inst.labels + (inst.e_sum,))
     if rule == "both":
         return classify(ring, inst, "unit") or classify(ring, inst, "identical")
     raise ValueError(f"unknown triviality rule {rule!r}")
@@ -367,11 +375,8 @@ def _verify_chunk(kernel: _Kernel, ring: FusionRing, xs,
     for x in xs:
         for tup in _raw_instances_for_x(ring, x):
             rep.total += 1
-            if use_unit and unit in tup[:4]:
-                rep.trivial += 1
-                continue
-            if use_ident and classify(
-                    ring, PentagonInstance(*tup[:9], e_sum=tup[9]), "identical"):
+            if ((use_unit and unit in tup[:4])
+                    or (use_ident and _is_identical(unit, tup))):
                 rep.trivial += 1
                 continue
             # the vacuous rule keeps everything
@@ -418,14 +423,13 @@ def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> Verify
 
 
 def count_instances(ring: FusionRing) -> dict[str, int]:
-    """Instance totals and the trivial counts under every shipped rule."""
+    """Instance totals and trivial counts under every rule; never cached."""
     counts = {"total": 0, "unit": 0, "identical": 0, "both": 0, "vacuous": 0}
     unit = ring.unit
     for tup in _raw_instances(ring):
         counts["total"] += 1
         is_unit = unit in tup[:4]
-        inst = PentagonInstance(*tup[:9], e_sum=tup[9])
-        is_ident = classify(ring, inst, "identical")
+        is_ident = _is_identical(unit, tup)
         counts["unit"] += is_unit
         counts["identical"] += is_ident
         counts["both"] += is_unit or is_ident
@@ -439,28 +443,28 @@ def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
     return table.map_entries(lambda k, v: -v if k == key else v)
 
 
-_INDEX_CACHE: dict[str, tuple[list, dict]] = {}
+_INDEX_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def key_instance_index(ring: FusionRing) -> tuple[list, dict[FKey, list[int]]]:
-    """Materialized instance list plus a map key -> instance positions."""
-    if ring.name not in _INDEX_CACHE:
+    """Raw instance tuples in enumeration order, and a map FKey -> ascending
+    positions of the instances that read it; built once per ring object."""
+    if ring not in _INDEX_CACHE:
         instances = list(_raw_instances(ring))
-        index: dict[FKey, list[int]] = {}
+        index: dict[tuple, list[int]] = {}
         for pos, tup in enumerate(instances):
-            inst = PentagonInstance(*tup[:9], e_sum=tup[9])
-            for k in set(inst.keys()):
+            for k in set(_instance_keys(tup)):
                 index.setdefault(k, []).append(pos)
-        _INDEX_CACHE[ring.name] = (instances, index)
-    return _INDEX_CACHE[ring.name]
+        _INDEX_CACHE[ring] = (
+            instances, {FKey._make(k): v for k, v in index.items()})
+    return _INDEX_CACHE[ring]
 
 
-def find_failing_instance(table: FSymbolTable, key: FKey,
-                          kernel: "_Kernel | None" = None) -> PentagonInstance | None:
+def find_failing_instance(table: FSymbolTable,
+                          key: FKey) -> PentagonInstance | None:
     """First pentagon instance touching ``key`` with a nonzero residual."""
     instances, index = key_instance_index(table.ring)
-    if kernel is None:
-        kernel = _Kernel(table)
+    kernel = _Kernel(table)
     for pos in index.get(key, ()):
         tup = instances[pos]
         if not kernel.is_zero(kernel.pentagon(tup)):

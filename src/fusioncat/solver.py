@@ -405,8 +405,7 @@ class _System:
             if len(ids) != 1:
                 continue
             (uid,) = ids
-            degree = max(len(m) for m in poly)
-            if degree > 2 or uid in seen:
+            if uid in seen or max(map(len, poly)) > 2:
                 continue
             zero = self.ring.tower.zero()
             c0 = poly.get((), zero)
@@ -414,15 +413,12 @@ class _System:
             c2 = poly.get((uid, uid), zero)
             if c2.is_zero():
                 roots = [-c0 / c1]
+            elif (s := field_sqrt(c1 * c1 - 4 * c2 * c0)) is None:
+                roots = []
             else:
-                disc = c1 * c1 - 4 * c2 * c0
-                s = field_sqrt(disc)
-                if s is None:
-                    roots = []
-                else:
-                    roots = [(-c1 + s) / (2 * c2)]
-                    if not s.is_zero():
-                        roots.append((-c1 - s) / (2 * c2))
+                # one root when s is zero, since then s == -s
+                inv = (2 * c2).inverse()
+                roots = [(-c1 + r) * inv for r in {s, -s}]
             seen.add(uid)
             roots.sort(key=lambda v: v.coords, reverse=True)
             out.append((uid, roots))

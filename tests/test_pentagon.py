@@ -2,20 +2,24 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
-from fusioncat.exactnum import ParamScalar, named_constant
+from fusioncat.exactnum import ParamScalar, named_constant, tower_preset
 from fusioncat.fsymbols import GaugeAssignment, all_ones_table, build_h3_table
-from fusioncat.fusionring import builtin_ring, f_blocks
+from fusioncat.fusionring import (FKey, _group_ring, builtin_ring,
+                                  enumerate_fkeys, f_blocks)
 from fusioncat.pentagon import (PentagonInstance, check_additional,
                                 check_addtriv, check_seeds, check_triangle,
                                 classify, count_instances,
                                 enumerate_instances, find_failing_instance,
                                 key_instance_index, negate_entry, residual,
                                 verify_all)
-from fusioncat.pentagon import _Kernel, _invert_param_matrix
+from fusioncat.pentagon import (TRIVIALITY_RULES, _Kernel,
+                                _invert_param_matrix, _is_identical)
+
+RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +261,105 @@ def test_invert_param_matrix_mixed_monomials(table, h3):
         for j in range(4):
             got = sum((m[i][k] * inv[k][j] for k in range(4)), start=zero)
             assert got == (one if i == j else zero)
+
+
+def _reference_classify(ring, inst, rule):
+    """The triviality rules on FKeys and sorted key lists."""
+    if rule == "vacuous":
+        return False
+    is_unit = ring.unit in (inst.x, inst.y, inst.z, inst.w)
+    if rule == "unit":
+        return is_unit
+    x, y, z, w, u, a, b, c, d = inst.labels
+    ident = False
+    if len(inst.e_sum) == 1:
+        t = inst.e_sum[0]
+        lhs = [k for k in (FKey(x, y, c, u, d, a), FKey(a, z, w, u, c, b))
+               if ring.unit not in (k.a, k.b, k.c)]
+        rhs = [k for k in (FKey(y, z, w, d, c, t), FKey(x, t, w, u, d, b),
+                           FKey(x, y, z, b, t, a))
+               if ring.unit not in (k.a, k.b, k.c)]
+        ident = sorted(lhs) == sorted(rhs)
+    return ident if rule == "identical" else is_unit or ident
+
+
+def test_identical_rule_matches_reference():
+    for name in RING_NAMES:
+        ring = builtin_ring(name)
+        for inst in enumerate_instances(ring):
+            for rule in TRIVIALITY_RULES:
+                assert (classify(ring, inst, rule)
+                        == _reference_classify(ring, inst, rule)), (inst, rule)
+    # on the built-in rings the identical rule marks exactly the unit
+    # instances, so every label tuple over three h3 labels, instance or
+    # not, exercises the comparison of the surviving keys as well
+    h3 = builtin_ring("h3")
+    hits = 0
+    for labels in product((0, 1, 3), repeat=9):
+        for esum in ((0,), (1,), (3,), (1, 3)):
+            inst = PentagonInstance(*labels, e_sum=esum)
+            want = _reference_classify(h3, inst, "identical")
+            assert _is_identical(h3.unit, labels + (esum,)) == want, inst
+            hits += want and not _reference_classify(h3, inst, "unit")
+    assert hits == 16
+
+
+def test_count_instances_pinned():
+    assert {name: count_instances(builtin_ring(name)) for name in RING_NAMES} == {
+        "z3_pointed": {"total": 81, "unit": 65, "identical": 65, "both": 65,
+                       "vacuous": 0},
+        "fibonacci": {"total": 47, "unit": 37, "identical": 37, "both": 37,
+                      "vacuous": 0},
+        "ising": {"total": 132, "unit": 95, "identical": 95, "both": 95,
+                  "vacuous": 0},
+        "h3": {"total": 41391, "unit": 5369, "identical": 5369, "both": 5369,
+               "vacuous": 0},
+    }
+
+
+def test_key_instance_index_matches_reference():
+    for name in ("fibonacci", "ising", "h3"):
+        ring = builtin_ring(name)
+        ref_instances, ref_index = [], {}
+        for pos, inst in enumerate(enumerate_instances(ring)):
+            ref_instances.append(inst.labels + (inst.e_sum,))
+            x, y, z, w, u, a, b, c, d = inst.labels
+            keys = [FKey(x, y, c, u, d, a), FKey(a, z, w, u, c, b)]
+            for t in inst.e_sum:
+                keys += [FKey(y, z, w, d, c, t), FKey(x, t, w, u, d, b),
+                         FKey(x, y, z, b, t, a)]
+            assert inst.keys() == keys
+            for k in set(keys):
+                ref_index.setdefault(k, []).append(pos)
+        instances, index = key_instance_index(ring)
+        assert instances == ref_instances
+        # same keys in the same order, with the same positions
+        assert list(index.items()) == list(ref_index.items())
+        assert all(type(k) is FKey for k in index)
+
+
+def test_index_cache_is_per_ring_object():
+    key_instance_index(builtin_ring("h3"))
+    impostor = _group_ring("h3", [("1", "1"), ("α", "a"), ("α*", "as")],
+                           [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                           tower_preset("rationals"))
+    instances, index = key_instance_index(impostor)
+    assert instances == [inst.labels + (inst.e_sum,)
+                         for inst in enumerate_instances(impostor)]
+    assert len(instances) == 81
+    key = FKey(1, 1, 1, 0, 2, 2)
+    assert key in enumerate_fkeys(impostor)
+    inst = find_failing_instance(
+        negate_entry(all_ones_table(impostor), key), key)
+    assert inst is not None and key in inst.keys()
+    assert len(key_instance_index(builtin_ring("h3"))[0]) == 41391
+
+
+def test_trivial_counts_match_census(table):
+    z3 = builtin_ring("z3_pointed")
+    ones = all_ones_table(z3)
+    counts = count_instances(z3)
+    for rule in TRIVIALITY_RULES:
+        assert verify_all(ones, rule=rule).trivial == counts[rule]
+    assert (verify_all(table, rule="both").trivial
+            == count_instances(table.ring)["both"])
