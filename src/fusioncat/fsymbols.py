@@ -48,6 +48,8 @@ class GaugeAssignment:
 
     def compose(self, other: "GaugeAssignment") -> "GaugeAssignment":
         """Pointwise product; acting with the result equals acting twice."""
+        if other.ring is not self.ring:
+            raise ValueError("gauge assignment is for a different ring")
         out = GaugeAssignment(self.ring)
         for key in set(self.values) | set(other.values):
             out.values[key] = self(*key) * other(*key)
@@ -113,14 +115,16 @@ class FSymbolTable:
 
         The right-associated tree of key (a,b,c;u;e,f) carries the vertices
         (b,c;e) and (a,e;u); the left-associated one (a,b;f) and (f,c;u).
+        Vertex values are inverted once, up front; an unset vertex counts as one.
         """
         if gauge.ring is not self.ring:
             raise ValueError("gauge assignment is for a different ring")
+        one, g = self.ring.tower.one(), gauge.values
+        inv = {vertex: x.inverse() for vertex, x in g.items()}
 
         def rescale(k: FKey, v: ParamScalar) -> ParamScalar:
-            num = gauge(k.a, k.e, k.u) * gauge(k.b, k.c, k.e)
-            den = gauge(k.a, k.b, k.f) * gauge(k.f, k.c, k.u)
-            return v * (num / den)
+            return v * (g.get((k.a, k.e, k.u), one) * g.get((k.b, k.c, k.e), one)
+                        * inv.get((k.a, k.b, k.f), one) * inv.get((k.f, k.c, k.u), one))
 
         return self.map_entries(rescale)
 

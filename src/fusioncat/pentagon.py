@@ -478,7 +478,10 @@ def find_failing_instance(table: FSymbolTable,
 # The starred matrix is the inverse.  In the data set's gauge every block is
 # real orthogonal, so the inverse is just the transpose there, but a gauged
 # table is no longer orthogonal and only the inverse keeps the identities
-# below gauge invariant.
+# below gauge invariant.  A block whose sign monomials factor into row times
+# column signs, as all the data set's do, needs one field inversion, not four.
+_MONOS = ((0, 0), (1, 0), (0, 1), (1, 1))  # p1^i p2^j by the bits i | j << 1
+
 
 def _field_matrix_inverse(tower, m):
     """Inverse of a matrix over the field, by reducing [m | I]."""
@@ -492,16 +495,49 @@ def _field_matrix_inverse(tower, m):
             for r in range(n)]
 
 
+def _sign_factors(m):
+    """Row and column sign monomials (2-bit ints ``i | j << 1``) such that
+    every nonzero ``m[r][c]`` is ``row[r] * col[c]`` times a field value, or
+    None when an entry has several terms or the monomials do not factor."""
+    n = len(m)
+    if any(len(v.terms) > 1 for row in m for v in row):
+        return None
+    mono = {(r, c): i | j << 1 for r, row in enumerate(m)
+            for c, v in enumerate(row) for i, j in v.terms}
+    # walk the graph of nonzero entries (column c is node n + c), XOR-ing signs
+    sign = [None] * (2 * n)
+    for start in (r for r in range(n) if sign[r] is None):
+        sign[start], todo = 0, [start]
+        while todo:
+            k = todo.pop()
+            for o in range(n):
+                s = mono.get((k, o) if k < n else (o, k - n))
+                nb = n + o if k < n else o
+                if s is not None and sign[nb] is None:
+                    sign[nb] = sign[k] ^ s
+                    todo.append(nb)
+                elif s is not None and sign[nb] != sign[k] ^ s:
+                    return None
+    return sign[:n], [s or 0 for s in sign[n:]]
+
+
 def _invert_param_matrix(tower, m):
     """Exact inverse of a matrix over the ring of p1/p2 sign polynomials.
 
-    The ring splits into four copies of the field, one per substitution, so
-    the inverse is computed pointwise and reassembled: the coefficient of
-    p1^i p2^j is (1/4) * sum over signs of s1^i s2^j times the pointwise
-    inverse.  Sign points with the same substituted matrix share one
-    inversion; a p-free block (every block of a concrete table) needs one.
+    If :func:`_sign_factors` writes m as D_row C D_col (C over the field, the
+    D diagonal sign monomials, each its own inverse), the inverse is
+    D_col C^-1 D_row: one field inversion.  Otherwise (an entry like 1 + p1,
+    or monomials that do not factor) the ring splits into four copies of the
+    field, one per substitution: p1^i p2^j gets (1/4) * sum over signs of
+    s1^i s2^j times the pointwise inverse, computed once per distinct matrix.
     """
     n = len(m)
+    if (factors := _sign_factors(m)) is not None:
+        rows, cols = factors
+        inv = _field_matrix_inverse(tower, [
+            [next(iter(v.terms.values()), tower.zero()) for v in row] for row in m])
+        return [[ParamScalar(tower, {_MONOS[cols[i] ^ rows[j]]: x})
+                 for j, x in enumerate(row)] for i, row in enumerate(inv)]
     points: dict[tuple, list[tuple[int, int]]] = {}
     for s1 in (1, -1):
         for s2 in (1, -1):

@@ -98,6 +98,45 @@ def _random_gauge(ring, rng):
     return g
 
 
+def _reference_apply_gauge(table, gauge):
+    """Each entry times the vertex ratio, one division per entry."""
+    def rescale(k, v):
+        num = gauge(k.a, k.e, k.u) * gauge(k.b, k.c, k.e)
+        den = gauge(k.a, k.b, k.f) * gauge(k.f, k.c, k.u)
+        return v * (num / den)
+    return table.map_entries(rescale)
+
+
+def test_apply_gauge_matches_entrywise_division(table, h3):
+    rng = random.Random(31)
+    tower = h3.tower
+    vertices = [(a, b, c) for a in range(len(h3)) for b in range(len(h3))
+                for c in h3.fusion(a, b)]
+    values = [tower.one() + tower.gen(0), tower.gen(1) - 2, tower.gen(2),
+              tower.from_rational(Fraction(-3, 5))]
+    field_valued = GaugeAssignment(h3)
+    for vertex in vertices:
+        field_valued.set(*vertex, rng.choice(values))
+    partial = GaugeAssignment(h3)
+    for vertex in rng.sample(vertices, len(vertices) // 3):
+        partial.set(*vertex, Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+    assert 0 < len(partial.values) < len(vertices)
+    for gauge in (_random_gauge(h3, rng), field_valued, partial):
+        assert table.apply_gauge(gauge) == _reference_apply_gauge(table, gauge)
+
+
+def test_compose_rejects_a_gauge_of_another_ring(h3):
+    fib = builtin_ring("fibonacci")
+    g = GaugeAssignment(h3).set("r", "r", "r", 2)
+    other = GaugeAssignment(fib).set("t", "t", "t", 3)
+    with pytest.raises(ValueError, match="different ring"):
+        g.compose(other)
+    with pytest.raises(ValueError, match="different ring"):
+        other.compose(g)
+    r = h3.label("r")
+    assert g.compose(g).values == {(r, r, r): h3.tower.from_rational(4)}
+
+
 def test_gauge_values_must_be_nonzero(h3):
     with pytest.raises(ValueError, match="nonzero"):
         GaugeAssignment(h3).set("r", "r", "r", 0)

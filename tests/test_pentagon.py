@@ -17,7 +17,8 @@ from fusioncat.pentagon import (PentagonInstance, check_additional,
                                 key_instance_index, negate_entry, residual,
                                 verify_all)
 from fusioncat.pentagon import (TRIVIALITY_RULES, _Kernel,
-                                _invert_param_matrix, _is_identical)
+                                _field_matrix_inverse, _invert_param_matrix,
+                                _is_identical, _sign_factors)
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
 
@@ -261,6 +262,103 @@ def test_invert_param_matrix_mixed_monomials(table, h3):
         for j in range(4):
             got = sum((m[i][k] * inv[k][j] for k in range(4)), start=zero)
             assert got == (one if i == j else zero)
+
+
+def _reference_invert_param_matrix(tower, m):
+    """The four-point inverse: invert the matrix at each sign point and
+    reassemble the coefficient of p1^i p2^j as (1/4) * sum over the sign
+    points of s1^i s2^j times the pointwise inverse."""
+    n = len(m)
+    points = {}
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            mm = tuple(tuple(v.substitute(s1, s2) for v in row) for row in m)
+            points.setdefault(mm, []).append((s1, s2))
+    parts = []
+    for mm, signs in points.items():
+        weights = {(i, j): Fraction(sum(s1 ** i * s2 ** j for s1, s2 in signs), 4)
+                   for i in (0, 1) for j in (0, 1)}
+        parts.append((_field_matrix_inverse(tower, mm),
+                      [(mono, w) for mono, w in weights.items() if w]))
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            terms = {}
+            for inv, weights in parts:
+                for mono, w in weights:
+                    val = inv[r][c] * w
+                    terms[mono] = terms[mono] + val if mono in terms else val
+            row.append(ParamScalar(tower, terms))
+        out.append(row)
+    return out
+
+
+def _field_valued_gauge(ring, rng):
+    """Eight non-unit vertices set to irrational values, as in
+    test_field_valued_gauge."""
+    tower = ring.tower
+    values = [tower.one() + tower.gen(0), tower.gen(1) - 2, tower.gen(2)]
+    gauge = GaugeAssignment(ring)
+    vertices = [(a, b, c) for a in range(1, len(ring)) for b in range(1, len(ring))
+                for c in ring.fusion(a, b) if c != ring.unit]
+    for vertex in rng.sample(vertices, 8):
+        gauge.set(*vertex, rng.choice(values))
+    return gauge
+
+
+def test_starred_inverse_matches_four_point_reference(table, h3):
+    tower = h3.tower
+    tables = [table,
+              table.apply_gauge(_random_gauge(h3, random.Random(2024))),
+              table.apply_gauge(_field_valued_gauge(h3, random.Random(77)))]
+    tables += [table.substitute_params(p1, p2)
+               for p1 in (1, -1) for p2 in (1, -1)]
+    for tab in tables:
+        for blk in f_blocks(h3):
+            m = tab.f_matrix(blk.a, blk.b, blk.c, blk.u)
+            # every block factors, so none silently takes the four-point path
+            assert _sign_factors(m) is not None, blk
+            assert (_invert_param_matrix(tower, m)
+                    == _reference_invert_param_matrix(tower, m)), blk
+
+
+def _assert_inverts(m, inv):
+    tower = m[0][0].tower
+    n = len(m)
+    for i in range(n):
+        for j in range(n):
+            got = sum((m[i][k] * inv[k][j] for k in range(n)),
+                      start=ParamScalar.from_field(tower.zero()))
+            assert got == (1 if i == j else 0)
+
+
+def test_sign_factors_and_the_four_point_fallback(h3):
+    tower = h3.tower
+    p1 = ParamScalar.param(tower, 1)
+    p2 = ParamScalar.param(tower, 2)
+    one = ParamScalar.from_field(tower.one())
+    zero = ParamScalar.from_field(tower.zero())
+    r13 = ParamScalar.from_field(tower.gen(0))
+    # row signs times column signs, as 2-bit ints i | j << 1 for p1^i p2^j
+    m = [[r13 * p1, p2], [one, p1 * p2 * 3]]
+    assert _sign_factors(m) == ([0, 1], [1, 2])
+    inv = _invert_param_matrix(tower, m)
+    assert inv == _reference_invert_param_matrix(tower, m)
+    _assert_inverts(m, inv)
+    assert _sign_factors([[p1 * p2 * 2]]) == ([0], [3])
+    assert _invert_param_matrix(tower, [[p1 * p2 * 2]]) == [[p1 * p2 * Fraction(1, 2)]]
+    # invertible (det 1 + 2 p1) but the monomials do not factor
+    m = [[one, one, zero], [zero, one, one], [p1 * 2, zero, one]]
+    assert _sign_factors(m) is None
+    inv = _invert_param_matrix(tower, m)
+    assert inv == _reference_invert_param_matrix(tower, m)
+    _assert_inverts(m, inv)
+    # a factorable singular block is still reported as singular
+    m = [[one, p1], [r13, r13 * p1]]
+    assert _sign_factors(m) == ([0, 0], [0, 1])
+    with pytest.raises(ValueError, match="block matrix is singular"):
+        _invert_param_matrix(tower, m)
 
 
 def _reference_classify(ring, inst, rule):
