@@ -91,6 +91,8 @@ def _parse_params(text: str) -> tuple[int, int] | None:
 # commands
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     table = _load_table(args)
     params = _parse_params(args.params)
     if params is not None:

@@ -13,11 +13,14 @@ the residual is
 with t running over the labels admissible for all three right-hand keys.
 Everything is evaluated exactly, symbolically in the sign parameters.
 
-The bulk verifier compiles a table once into integer coefficients over one
-denominator times interned primitive field directions, with the products of
-two and three directions memoized, so that a residual is an integer
-accumulation per (sign monomial, direction) and the zero test folds those
-sums into integer coordinates; no rational arithmetic runs per instance.
+The bulk sweeps split what depends on the ring from what depends on the
+table.  Once per ring object, each sweep's checks are compiled into a plan
+of key positions (:class:`_Plan`).  Once per table, the values are compiled
+into integer coefficients over one denominator times interned primitive
+field directions, listed by key position, with the products of two and
+three directions memoized as integer tower coordinates.  A residual is then
+an integer accumulation straight into (coordinate, sign monomial) slots, and
+it is zero when every slot is; no rational arithmetic runs per instance.
 """
 
 from __future__ import annotations
@@ -25,20 +28,23 @@ from __future__ import annotations
 import os
 import time
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import product
+from functools import reduce, wraps
+from itertools import accumulate, islice, product
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exactnum import (FieldScalar, ParamScalar, gauss_jordan, named_constant,
                        render_scalar)
 from .fsymbols import FSymbolTable, BlockReport
-from .fusionring import FKey, FusionRing, f_blocks
+from .fusionring import FKey, FusionRing, enumerate_fkeys, f_blocks
 
-TRIVIALITY_RULES = ("unit", "identical", "both", "vacuous")
+# the triviality rules (see classify) and the instance bits each one skips
+_RULE_BITS = {"unit": 1, "identical": 2, "both": 3, "vacuous": 0}
+TRIVIALITY_RULES = tuple(_RULE_BITS)
 
 
 @dataclass(frozen=True)
@@ -80,16 +86,11 @@ def enumerate_instances(ring: FusionRing) -> Iterator[PentagonInstance]:
 
 
 def _raw_instances(ring: FusionRing):
-    for x in range(len(ring)):
-        yield from _raw_instances_for_x(ring, x)
-
-
-def _raw_instances_for_x(ring: FusionRing, x: int):
     n = len(ring)
     N = ring._n
     fus = ring._fusion
     rng = range(n)
-    for y in rng:
+    for x, y in product(rng, repeat=2):
         a_cands = fus[(x, y)]
         for z in rng:
             for w in rng:
@@ -128,6 +129,11 @@ def _is_identical(unit: int, tup) -> bool:
             == sorted(k for k in keys[2:] if unit not in k[:3]))
 
 
+def _trivial_bits(unit: int, tup) -> int:
+    """Bit 1 if the unit rule marks a raw instance tuple, 2 if identical."""
+    return (unit in tup[:4]) | _is_identical(unit, tup) << 1
+
+
 def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bool:
     """True when the instance is trivial under the given rule.
 
@@ -142,15 +148,10 @@ def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bo
                 exactly the label assignments excluded by admissibility
                 (for h3 this leaves the full count of 41391 equations).
     """
-    if rule == "vacuous":
-        return False
-    if rule == "unit":
-        return ring.unit in (inst.x, inst.y, inst.z, inst.w)
-    if rule == "identical":
-        return _is_identical(ring.unit, inst.labels + (inst.e_sum,))
-    if rule == "both":
-        return classify(ring, inst, "unit") or classify(ring, inst, "identical")
-    raise ValueError(f"unknown triviality rule {rule!r}")
+    if rule not in _RULE_BITS:
+        raise ValueError(f"unknown triviality rule {rule!r}")
+    tup = inst.labels + (inst.e_sum,)
+    return bool(_trivial_bits(ring.unit, tup) & _RULE_BITS[rule])
 
 
 def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
@@ -163,6 +164,87 @@ def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
         rhs = rhs + (g[FKey(y, z, w, d, c, t)] * g[FKey(x, t, w, u, d, b)]
                      * g[FKey(x, y, z, b, t, a)])
     return lhs - rhs
+
+
+# ---------------------------------------------------------------------------
+# per-ring plans
+
+def _per_ring(build):
+    """``build(ring)``, computed once per ring object and dropped with it."""
+    cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @wraps(build)
+    def get(ring: FusionRing):
+        if ring not in cache:
+            cache[ring] = build(ring)
+        return cache[ring]
+    return get
+
+
+class _Plan(NamedTuple):
+    """The checks of one sweep over one ring, in sweep order, as positions
+    into a kernel's value list (see :class:`_Kernel`): check ``i`` reads two
+    left-hand values and then three per summand, ``counts[i]`` summands, from
+    the flat array ``slots``.  ``trivial[i]`` holds a pentagon instance's
+    triviality bits (1: unit rule, 2: identical rule); other sweeps have
+    none."""
+
+    slots: array
+    counts: array
+    trivial: bytearray
+
+
+@_per_ring
+def _pentagon_plan(ring: FusionRing) -> _Plan:
+    """Every pentagon instance in enumeration order, its keys (as
+    :func:`_instance_keys` lists them) by position in ``enumerate_fkeys``."""
+    pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
+    plan = _Plan(array("H"), array("B"), bytearray())
+    unit = ring.unit
+    for tup in _raw_instances(ring):
+        plan.slots.extend(map(pos.__getitem__, _instance_keys(tup)))
+        plan.counts.append(len(tup[9]))
+        plan.trivial.append(_trivial_bits(unit, tup))
+    return plan
+
+
+@_per_ring
+def _additional_plan(ring: FusionRing) -> _Plan:
+    """The checks of :func:`check_additional` in its label order, right side
+    minus left side in the pentagon's shape; a starred factor sits at its
+    key's position plus the number of keys."""
+    pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
+    star = len(pos)
+    N, fus = ring._n, ring._fusion
+    plan = _Plan(array("H"), array("B"), bytearray())
+    put = plan.slots.append
+    for a, x1 in product(range(len(ring)), repeat=2):
+        for x3, x2 in product(fus[(a, x1)], range(len(ring))):
+            for b, c in product(fus[(x1, x2)], range(len(ring))):
+                for x4 in fus[(x2, c)]:
+                    for u, y in product(fus[(x3, x4)], fus[(a, b)]):
+                        if not (N[x3][x2][y] and N[y][c][u]):
+                            continue
+                        ss = [s for s in fus[(x1, x4)]
+                              if N[a][s][u] and N[b][c][s]]
+                        put(star + pos[x3, x2, c, u, x4, y])
+                        put(pos[a, x1, x2, y, b, x3])
+                        for s in ss:
+                            put(pos[a, x1, x4, u, s, x3])
+                            put(star + pos[x1, x2, c, s, x4, b])
+                            put(star + pos[a, b, c, u, s, y])
+                        plan.counts.append(len(ss))
+    return plan
+
+
+def _failing(ring: FusionRing, plan: _Plan, nonzero) -> list:
+    """The two left-hand keys and the accumulator of every nonzero check."""
+    if not nonzero:  # the offsets below are a list as long as the plan
+        return []
+    keys = enumerate_fkeys(ring) * 2  # starred positions repeat the keys
+    at = list(accumulate((2 + 3 * n for n in plan.counts), initial=0))
+    return [(keys[plan.slots[at[i]]], keys[plan.slots[at[i] + 1]], acc)
+            for i, acc in nonzero]
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +270,13 @@ class _Directions:
 
     ``B`` is the square of the tower's product denominator: a product of two
     integer vectors has a denominator dividing that product denominator, and
-    a product of three one dividing its square.  Products may be new
-    directions, which are interned as well.
+    a product of three one dividing its square.
     """
 
     def __init__(self, tower):
         self.tower = tower
         self.den_b = tower._pden ** 2
         self.prims: list[tuple[int, ...]] = []
-        self.sparse: list[tuple[tuple[int, int], ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
 
     def intern(self, num: tuple[int, ...]) -> tuple[int, int]:
@@ -210,35 +290,33 @@ class _Directions:
         if pid is None:
             pid = self._ids[prim] = len(self.prims)
             self.prims.append(prim)
-            self.sparse.append(
-                tuple((idx, v) for idx, v in enumerate(prim) if v))
         return g, pid
 
-    def product(self, pids: tuple[int, ...], factor: int) -> tuple[int, int]:
-        """(c, pid) with B * factor * (product of the directions) equal to
-        c * prims[pid]."""
+    def product(self, pids: tuple[int, ...], factor: int) -> tuple:
+        """The nonzero integer coordinates of B * factor * (product of the
+        directions), as pairs (coordinate << 2, value)."""
         num, den = reduce(mul, (FieldScalar(self.tower, self.prims[p], 1)
                                 for p in pids)).integer_coords()
-        g, pid = self.intern(num)
-        return g * (self.den_b // den) * factor, pid
+        scale = self.den_b // den * factor
+        return tuple((idx << 2, v * scale) for idx, v in enumerate(num) if v)
 
 
 class _Kernel:
-    """Exact residual evaluation in integers over interned field directions.
+    """Exact residual evaluation in integer tower coordinates.
 
     Compiling a table splits every value into sign monomials and every
-    coefficient into ``n / L`` times a primitive integer direction, with one
-    denominator ``L`` for the whole table (and for any extra entry maps
-    compiled alongside it, such as the starred entries).  Products of two
-    and of three directions are memoized as they are first met, each as
-    ``c / B`` times a direction (see :class:`_Directions`).  Only these two
-    depths are needed, and the full product closure would be infinite.
+    coefficient into ``n / L`` times an interned primitive integer direction,
+    one denominator ``L`` serving the table and its starred entries, if
+    given.  ``values`` lists them by plan position: the table's entries in
+    ``enumerate_fkeys`` order, then the starred ones.  Products of two and
+    of three directions (only these depths are needed; the full closure
+    would be infinite) are memoized when first met, as integer coordinates
+    over ``B`` (see :class:`_Directions`).
 
     A pentagon-shaped residual (a product of two values minus a sum of
-    products of three) scaled by ``L**3 * B`` is then a sum of integers per
-    (sign monomial, direction): left-hand terms carry the extra factor ``L``
-    inside their two-factor products.  It is zero exactly when those sums
-    fold into zero integer coordinates.
+    products of three) scaled by ``L**3 * B`` thus accumulates straight into
+    integer slots ``coordinate << 2 | sign monomial``, the left-hand terms
+    carrying the extra ``L`` in their products; it is zero when every slot is.
     """
 
     def __init__(self, table: FSymbolTable,
@@ -257,32 +335,34 @@ class _Kernel:
         den_l = self.den_l = lcm(*(den for _, _, den in splits.values()))
         for coords, (g, pid, den) in splits.items():
             splits[coords] = (g * (den_l // den), pid)
-        # keyed by FKey; a plain label tuple finds the same entry, because
-        # FKey is a tuple and hashes and compares like one
-        values = [{k: tuple((i | j << 1,) + splits[c.integer_coords()]
-                            for (i, j), c in v.terms.items())
-                   for k, v in entries.items()} for entries in maps]
-        self.values = values[0]
-        self.starred = values[1] if starred is not None else None
-        # prod2[i][j] and prod3[i][j][k]: (c, pid), filled on first use; the
-        # fill functions hold only dirs, so a kernel is freed by reference
-        # counting rather than left to the cycle collector
+        keys = enumerate_fkeys(table.ring)
+        self.values = [tuple((i | j << 1,) + splits[c.integer_coords()]
+                             for (i, j), c in entries[k].terms.items())
+                       for entries in maps for k in keys]
+        # the table's own entries by key; a plain label tuple finds the same
+        # entry, because FKey is a tuple and hashes and compares like one
+        self.by_key = dict(zip(keys, self.values))
+        self.width = 4 * self.tower.degree
+        # prod2[i][j] and prod3[i][j][k]: coordinates, filled on first use;
+        # the fill functions hold only dirs, so a kernel is freed by
+        # reference counting rather than left to the cycle collector
         self._prod2 = _Memo(lambda i: _Memo(
             lambda j: dirs.product((i, j), den_l)))
         self._prod3 = _Memo(lambda i: _Memo(lambda j: _Memo(
             lambda k: dirs.product((i, j, k), 1))))
 
-    def accumulate(self, f1, f2, triples) -> dict[int, int]:
-        """Integer sums of ``f1 * f2 - sum of g1 * g2 * g3`` over triples,
-        scaled by ``L**3 * B``, keyed by ``direction << 2 | sign monomial``."""
-        acc: dict[int, int] = {}
+    def accumulate(self, f1, f2, triples) -> list[int]:
+        """Integer coordinates of ``f1 * f2 - sum of g1 * g2 * g3`` over
+        triples, scaled by ``L**3 * B``, at ``coordinate << 2 | monomial``."""
+        acc = [0] * self.width
         prod2 = self._prod2
         for m1, n1, d1 in f1:
             row = prod2[d1]
             for m2, n2, d2 in f2:
-                c, d = row[d2]
-                key = d << 2 | (m1 ^ m2)
-                acc[key] = acc.get(key, 0) + n1 * n2 * c
+                m = m1 ^ m2
+                n = n1 * n2
+                for slot, c in row[d2]:
+                    acc[slot | m] += n * c
         prod3 = self._prod3
         for g1, g2, g3 in triples:
             for m1, n1, d1 in g1:
@@ -292,43 +372,52 @@ class _Kernel:
                     n12 = n1 * n2
                     m12 = m1 ^ m2
                     for m3, n3, d3 in g3:
-                        c, d = row[d3]
-                        key = d << 2 | (m12 ^ m3)
-                        acc[key] = acc.get(key, 0) - n12 * n3 * c
+                        m = m12 ^ m3
+                        n = n12 * n3
+                        for slot, c in row[d3]:
+                            acc[slot | m] -= n * c
         return acc
 
-    def pentagon(self, inst_tuple) -> dict[int, int]:
-        """Accumulators of the pentagon residual of one raw instance."""
-        x, y, z, w, u, a, b, c, d, esum = inst_tuple
-        V = self.values
-        return self.accumulate(
-            V[(x, y, c, u, d, a)], V[(a, z, w, u, c, b)],
-            [(V[(y, z, w, d, c, t)], V[(x, t, w, u, d, b)],
-              V[(x, y, z, b, t, a)]) for t in esum])
+    def pentagon(self, inst_tuple) -> list[int]:
+        """Accumulator of the pentagon residual of one raw instance."""
+        f1, f2, *rest = map(self.by_key.__getitem__,
+                            _instance_keys(inst_tuple))
+        return self.accumulate(f1, f2, zip(*[iter(rest)] * 3))
 
-    def _fold(self, acc: dict[int, int]) -> list[list[int]]:
-        """Integer coordinates per sign monomial (scaled by ``L**3 * B``)."""
-        coords = [[0] * self.tower.degree for _ in range(4)]
-        sparse = self.dirs.sparse
-        for key, v in acc.items():
-            if v:
-                vec = coords[key & 3]
-                for idx, p in sparse[key >> 2]:
-                    vec[idx] += v * p
-        return coords
+    @staticmethod
+    def is_zero(acc: list[int]) -> bool:
+        return not any(acc)
 
-    def is_zero(self, acc: dict[int, int]) -> bool:
-        if not any(acc.values()):
-            return True
-        return not any(any(vec) for vec in self._fold(acc))
+    def scalar(self, acc: list[int]) -> ParamScalar:
+        """The residual an accumulator holds, as a sign polynomial."""
+        scale = self.den_l ** 3 * self.dirs.den_b
+        return ParamScalar(self.tower, {
+            (m & 1, m >> 1): FieldScalar(self.tower, tuple(acc[m::4]), scale)
+            for m in range(4) if any(acc[m::4])})
 
     def residual_scalar(self, inst_tuple) -> ParamScalar:
-        """The pentagon residual rebuilt from the integer accumulators."""
-        scale = self.den_l ** 3 * self.dirs.den_b
-        coords = self._fold(self.pentagon(inst_tuple))
-        return ParamScalar(self.tower, {
-            (m & 1, m >> 1): FieldScalar(self.tower, tuple(vec), scale)
-            for m, vec in enumerate(coords) if any(vec)})
+        """The pentagon residual rebuilt from the integer accumulator."""
+        return self.scalar(self.pentagon(inst_tuple))
+
+
+def _sweep(kernel: _Kernel, plan: _Plan, start: int, stop: int,
+           mask: int = 0) -> list:
+    """(check index, accumulator) for every nonzero residual among checks
+    ``start`` to ``stop`` of a plan, skipping those whose bits meet mask."""
+    counts, trivial = plan.counts, plan.trivial
+    it = map(kernel.values.__getitem__,
+             islice(plan.slots, 2 * start + 3 * sum(counts[:start]), None))
+    triples = zip(it, it, it)
+    nonzero = []
+    for i in range(start, stop):
+        n = counts[i]
+        if mask and trivial[i] & mask:
+            next(islice(it, 2 + 3 * n, 2 + 3 * n), None)
+            continue
+        acc = kernel.accumulate(next(it), next(it), islice(triples, n))
+        if any(acc):
+            nonzero.append((i, acc))
+    return nonzero
 
 
 @dataclass
@@ -366,57 +455,54 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _verify_chunk(kernel: _Kernel, ring: FusionRing, xs,
-                  rule: str) -> VerifyReport:
-    unit = ring.unit
-    rep = VerifyReport(rule=rule)
-    use_unit = rule in ("unit", "both")
-    use_ident = rule in ("identical", "both")
-    for x in xs:
-        for tup in _raw_instances_for_x(ring, x):
-            rep.total += 1
-            if ((use_unit and unit in tup[:4])
-                    or (use_ident and _is_identical(unit, tup))):
-                rep.trivial += 1
-                continue
-            # the vacuous rule keeps everything
-            if not kernel.is_zero(kernel.pentagon(tup)):
-                expr = render_scalar(kernel.residual_scalar(tup))
-                rep.failures.append((tup[:9], expr))
+def _verify_range(kernel: _Kernel, ring: FusionRing, rule: str, start: int,
+                  stop: int) -> VerifyReport:
+    """The pentagon instances ``start`` to ``stop`` of a ring."""
+    plan = _pentagon_plan(ring)
+    mask = _RULE_BITS[rule]
+    rep = VerifyReport(rule=rule, total=stop - start, trivial=sum(
+        1 for b in plan.trivial[start:stop] if b & mask))
+    for (x, y, c, u, d, a), (_, z, w, _, _, b), acc in _failing(
+            ring, plan, _sweep(kernel, plan, start, stop, mask)):
+        rep.failures.append(((x, y, z, w, u, a, b, c, d),
+                             render_scalar(kernel.scalar(acc))))
     return rep
 
 
 _FORK_STATE: dict = {}
 
 
-def _pool_worker(x):
-    return _verify_chunk(_FORK_STATE["kernel"], _FORK_STATE["ring"], [x],
-                         _FORK_STATE["rule"])
+def _pool_worker(start, stop):
+    return _verify_range(*_FORK_STATE["args"], start, stop)
 
 
 def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> VerifyReport:
-    """Evaluate the residual of every nontrivial instance; exact throughout."""
+    """Evaluate the residual of every nontrivial instance; exact throughout.
+    Up to ``min(jobs, len(ring))`` forked workers share the instances."""
     if rule not in TRIVIALITY_RULES:
         raise ValueError(f"unknown triviality rule {rule!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
     ring = table.ring
-    n = len(ring)
-    # compiled once; forked workers inherit it
+    total = len(_pentagon_plan(ring).counts)
+    # compiled once; forked workers inherit it and the plan
     kernel = _Kernel(table)
-    if jobs > 1 and hasattr(os, "fork"):
+    procs = min(jobs, len(ring))
+    if procs > 1 and hasattr(os, "fork"):
         import multiprocessing as mp
 
-        _FORK_STATE.update(kernel=kernel, ring=ring, rule=rule)
+        # four ranges per worker even out the uneven cost of instances
+        cuts = [total * i // (4 * procs) for i in range(4 * procs + 1)]
+        _FORK_STATE["args"] = (kernel, ring, rule)
         try:
-            with mp.get_context("fork").Pool(min(jobs, n)) as pool:
-                parts = pool.map(_pool_worker, range(n))
+            with mp.get_context("fork").Pool(procs) as pool:
+                parts = pool.starmap(_pool_worker, zip(cuts, cuts[1:]))
         finally:
             _FORK_STATE.clear()
-        rep = VerifyReport(rule=rule)
-        for part in parts:
-            rep.merge(part)
     else:
-        rep = _verify_chunk(kernel, ring, range(n), rule)
+        parts = [_verify_range(kernel, ring, rule, 0, total)]
+    rep = reduce(VerifyReport.merge, parts, VerifyReport(rule=rule))
     rep.failures.sort()
     rep.duration = time.monotonic() - start
     return rep
@@ -424,16 +510,10 @@ def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> Verify
 
 def count_instances(ring: FusionRing) -> dict[str, int]:
     """Instance totals and trivial counts under every rule; never cached."""
-    counts = {"total": 0, "unit": 0, "identical": 0, "both": 0, "vacuous": 0}
     unit = ring.unit
-    for tup in _raw_instances(ring):
-        counts["total"] += 1
-        is_unit = unit in tup[:4]
-        is_ident = _is_identical(unit, tup)
-        counts["unit"] += is_unit
-        counts["identical"] += is_ident
-        counts["both"] += is_unit or is_ident
-    return counts
+    bits = [_trivial_bits(unit, tup) for tup in _raw_instances(ring)]
+    return {"total": len(bits), **{rule: sum(1 for b in bits if b & mask)
+                                   for rule, mask in _RULE_BITS.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +523,16 @@ def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
     return table.map_entries(lambda k, v: -v if k == key else v)
 
 
-_INDEX_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
+@_per_ring
 def key_instance_index(ring: FusionRing) -> tuple[list, dict[FKey, list[int]]]:
     """Raw instance tuples in enumeration order, and a map FKey -> ascending
     positions of the instances that read it; built once per ring object."""
-    if ring not in _INDEX_CACHE:
-        instances = list(_raw_instances(ring))
-        index: dict[tuple, list[int]] = {}
-        for pos, tup in enumerate(instances):
-            for k in set(_instance_keys(tup)):
-                index.setdefault(k, []).append(pos)
-        _INDEX_CACHE[ring] = (
-            instances, {FKey._make(k): v for k, v in index.items()})
-    return _INDEX_CACHE[ring]
+    instances = list(_raw_instances(ring))
+    index: dict[tuple, list[int]] = {}
+    for pos, tup in enumerate(instances):
+        for k in set(_instance_keys(tup)):
+            index.setdefault(k, []).append(pos)
+    return instances, {FKey._make(k): v for k, v in index.items()}
 
 
 def find_failing_instance(table: FSymbolTable,
@@ -638,9 +713,6 @@ def check_additional(table: FSymbolTable) -> BlockReport:
     = N_b^{x1 x2} = 1 plus admissibility of the two right-hand keys.
     """
     ring = table.ring
-    N = ring._n
-    fus = ring._fusion
-    n = len(ring)
     report = BlockReport("additional")
     try:
         starred = starred_entries(table)
@@ -648,35 +720,13 @@ def check_additional(table: FSymbolTable) -> BlockReport:
         report.failures.append(str(exc))
         return report
     kernel = _Kernel(table, starred=starred)
-    V = kernel.values
-    S = kernel.starred
-    for a in range(n):
-        for x1 in range(n):
-            for x3 in fus[(a, x1)]:
-                for x2 in range(n):
-                    for b in fus[(x1, x2)]:
-                        for c in range(n):
-                            for x4 in fus[(x2, c)]:
-                                for u in fus[(x3, x4)]:
-                                    for y in fus[(a, b)]:
-                                        if not (N[x3][x2][y] and N[y][c][u]):
-                                            continue
-                                        # right side minus left side, in
-                                        # the kernel's pentagon shape;
-                                        # plain label tuples find FKeys
-                                        acc = kernel.accumulate(
-                                            S[(x3, x2, c, u, x4, y)],
-                                            V[(a, x1, x2, y, b, x3)],
-                                            [(V[(a, x1, x4, u, s, x3)],
-                                              S[(x1, x2, c, s, x4, b)],
-                                              S[(a, b, c, u, s, y)])
-                                             for s in fus[(x1, x4)]
-                                             if N[a][s][u] and N[b][c][s]])
-                                        report.checked += 1
-                                        if not kernel.is_zero(acc):
-                                            report.failures.append(
-                                                f"a={a} x1={x1} x2={x2} x3={x3} "
-                                                f"x4={x4} c={c} u={u} b={b} y={y}")
+    plan = _additional_plan(ring)
+    report.checked = len(plan.counts)
+    nonzero = _sweep(kernel, plan, 0, report.checked)
+    for (x3, x2, c, u, x4, y), (a, x1, _, _, b, _), _ in _failing(ring, plan,
+                                                                  nonzero):
+        report.failures.append(f"a={a} x1={x1} x2={x2} x3={x3} "
+                               f"x4={x4} c={c} u={u} b={b} y={y}")
     return report
 
 

@@ -37,12 +37,13 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant, render_scalar)
 from .fsymbols import FSymbolTable
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
-from .pentagon import _raw_instances, verify_all
+from .pentagon import _pentagon_plan, verify_all
 
 Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> coeff
 
@@ -128,23 +129,18 @@ class _Plan:
     key's id is its position.  Equation ``i`` reads the slots
     ``slots[offsets[i]:offsets[i + 1]]``.  The pentagon equations come first,
     in instance order, each with its two left-hand keys and then three keys
-    per summand; then, block by block, the row and column orthogonality
-    equations, each with its pairs of keys and, when it is listed in
-    ``diagonal``, a constant -1.
+    per summand, as in the pentagon sweep's own plan; then, block by block,
+    the row and column orthogonality equations, each with its pairs of keys
+    and, when it is listed in ``diagonal``, a constant -1.
     """
 
     def __init__(self, ring: FusionRing):
         self.keys = tuple(enumerate_fkeys(ring))
         pos = {k: i for i, k in enumerate(self.keys)}
-        slots = array("H")
-        offsets = array("I", [0])
-        for x, y, z, w, u, a, b, c, d, esum in _raw_instances(ring):
-            slots.append(pos[x, y, c, u, d, a])
-            slots.append(pos[a, z, w, u, c, b])
-            for t in esum:
-                slots.extend((pos[y, z, w, d, c, t], pos[x, t, w, u, d, b],
-                              pos[x, y, z, b, t, a]))
-            offsets.append(len(slots))
+        pentagon = _pentagon_plan(ring)
+        slots = array("H", pentagon.slots)
+        offsets = array("I", accumulate((2 + 3 * n for n in pentagon.counts),
+                                        initial=0))
         self.n_pentagon = len(offsets) - 1
         diagonal = []
         for blk in f_blocks(ring):

@@ -239,3 +239,11 @@ def test_solve_h3_reports_seed_agreement():
     assert proc.returncode == 0
     assert "resolved fraction" in proc.stdout
     assert "exact=173" in proc.stdout
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-2"):
+        assert cli.main(["verify", "--builtin", "z3", "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"

@@ -1,24 +1,27 @@
 """Pentagon enumeration and the exact verification sweeps."""
 
+import multiprocessing
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, starmap
 
 import pytest
 
-from fusioncat.exactnum import ParamScalar, named_constant, tower_preset
+from fusioncat.exactnum import (ParamScalar, named_constant, render_scalar,
+                                tower_preset)
 from fusioncat.fsymbols import GaugeAssignment, all_ones_table, build_h3_table
 from fusioncat.fusionring import (FKey, _group_ring, builtin_ring,
                                   enumerate_fkeys, f_blocks)
-from fusioncat.pentagon import (PentagonInstance, check_additional,
-                                check_addtriv, check_seeds, check_triangle,
-                                classify, count_instances,
+from fusioncat.pentagon import (PentagonInstance, VerifyReport,
+                                check_additional, check_addtriv, check_seeds,
+                                check_triangle, classify, count_instances,
                                 enumerate_instances, find_failing_instance,
                                 key_instance_index, negate_entry, residual,
-                                verify_all)
+                                starred_entries, verify_all)
 from fusioncat.pentagon import (TRIVIALITY_RULES, _Kernel,
                                 _field_matrix_inverse, _invert_param_matrix,
-                                _is_identical, _sign_factors)
+                                _is_identical, _raw_instances, _sign_factors)
+from fusioncat.solver import solve
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
 
@@ -461,3 +464,154 @@ def test_trivial_counts_match_census(table):
         assert verify_all(ones, rule=rule).trivial == counts[rule]
     assert (verify_all(table, rule="both").trivial
             == count_instances(table.ring)["both"])
+
+
+def _reference_verify(table, rule):
+    """The pentagon sweep by labels: enumerate the instances, skip the
+    trivial ones and evaluate the rest from their label tuples."""
+    ring = table.ring
+    unit = ring.unit
+    kernel = _Kernel(table)
+    rep = VerifyReport(rule=rule)
+    use_unit = rule in ("unit", "both")
+    use_ident = rule in ("identical", "both")
+    for tup in _raw_instances(ring):
+        rep.total += 1
+        if ((use_unit and unit in tup[:4])
+                or (use_ident and _is_identical(unit, tup))):
+            rep.trivial += 1
+            continue
+        if not kernel.is_zero(kernel.pentagon(tup)):
+            expr = render_scalar(kernel.residual_scalar(tup))
+            rep.failures.append((tup[:9], expr))
+    return rep
+
+
+def _reference_additional(table):
+    """The mixed associativity sweep by labels, nine loops deep: the number
+    of checks and the failure strings in sweep order."""
+    ring = table.ring
+    N = ring._n
+    fus = ring._fusion
+    n = len(ring)
+    keys = enumerate_fkeys(ring)
+    kernel = _Kernel(table, starred=starred_entries(table))
+    V = dict(zip(keys, kernel.values))
+    S = dict(zip(keys, kernel.values[len(keys):]))
+    checked = 0
+    failures = []
+    for a in range(n):
+        for x1 in range(n):
+            for x3 in fus[(a, x1)]:
+                for x2 in range(n):
+                    for b in fus[(x1, x2)]:
+                        for c in range(n):
+                            for x4 in fus[(x2, c)]:
+                                for u in fus[(x3, x4)]:
+                                    for y in fus[(a, b)]:
+                                        if not (N[x3][x2][y] and N[y][c][u]):
+                                            continue
+                                        acc = kernel.accumulate(
+                                            S[(x3, x2, c, u, x4, y)],
+                                            V[(a, x1, x2, y, b, x3)],
+                                            [(V[(a, x1, x4, u, s, x3)],
+                                              S[(x1, x2, c, s, x4, b)],
+                                              S[(a, b, c, u, s, y)])
+                                             for s in fus[(x1, x4)]
+                                             if N[a][s][u] and N[b][c][s]])
+                                        checked += 1
+                                        if not kernel.is_zero(acc):
+                                            failures.append(
+                                                f"a={a} x1={x1} x2={x2} x3={x3} "
+                                                f"x4={x4} c={c} u={u} b={b} y={y}")
+    return checked, failures
+
+
+def _four_dim_keys(ring):
+    return [k for blk in f_blocks(ring) if blk.dim == 4 for k in blk.keys()]
+
+
+def _assert_sweeps_match_reference(tab, rules):
+    got_failures = 0
+    for rule in rules:
+        got = verify_all(tab, rule=rule)
+        want = _reference_verify(tab, rule)
+        assert (got.total, got.trivial) == (want.total, want.trivial), rule
+        assert got.render() == want.render(), rule
+        got_failures += len(got.failures)
+    add = check_additional(tab)
+    assert (add.checked, add.failures) == _reference_additional(tab)
+    return got_failures + len(add.failures)
+
+
+def test_plan_sweeps_match_reference_loops_small_rings():
+    for name in ("z3_pointed", "fibonacci", "ising"):
+        ring = builtin_ring(name)
+        base = all_ones_table(ring) if name == "z3_pointed" else solve(name)[0]
+        assert _assert_sweeps_match_reference(base, TRIVIALITY_RULES) == 0
+        # a key with no unit label, so that some residual becomes nonzero
+        key = next(k for k in reversed(enumerate_fkeys(ring))
+                   if ring.unit not in k[:4])
+        mutated = negate_entry(base, key)
+        assert _assert_sweeps_match_reference(mutated, TRIVIALITY_RULES) > 0
+
+
+def test_plan_sweeps_match_reference_loops_h3(table, h3):
+    mutated = table
+    for key in random.Random(5150).sample(_four_dim_keys(h3), 4):
+        mutated = negate_entry(mutated, key)
+    tables = [table,
+              table.apply_gauge(_random_gauge(h3, random.Random(2024))),
+              table.apply_gauge(_field_valued_gauge(h3, random.Random(77))),
+              table.substitute_params(1, -1),
+              mutated]
+    failures = [_assert_sweeps_match_reference(tab, [TRIVIALITY_RULES[i % 4]])
+                for i, tab in enumerate(tables)]
+    assert failures[:4] == [0, 0, 0, 0] and failures[4] > 0
+
+
+def test_verify_parallel_matches_serial_on_failing_tables(table, h3):
+    rng = random.Random(606)
+    keys = rng.sample(_four_dim_keys(h3), 3)
+    negated = negate_entry(negate_entry(table, keys[0]), keys[1])
+    gauged = negate_entry(table.apply_gauge(_random_gauge(h3, rng)), keys[2])
+    for tab in (negated, gauged):
+        serial = verify_all(tab)
+        assert not serial.passed
+        assert verify_all(tab, jobs=2).render() == serial.render()
+
+
+def test_verify_all_rejects_jobs_below_one():
+    ones = all_ones_table(builtin_ring("z3_pointed"))
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            verify_all(ones, jobs=jobs)
+
+
+def test_verify_pool_is_capped_at_the_label_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return list(starmap(fn, args))
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    ones = negate_entry(all_ones_table(builtin_ring("z3_pointed")),
+                        FKey(1, 1, 1, 0, 2, 2))
+    serial = verify_all(ones)
+    assert not serial.passed and sizes == []
+    for jobs, procs in ((10 ** 6, 3), (2, 2)):
+        assert verify_all(ones, jobs=jobs).render() == serial.render()
+        assert sizes.pop() == procs

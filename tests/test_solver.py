@@ -12,14 +12,21 @@ from fusioncat.solver import (PartialTable, _System, compare_to_dataset,
                               propagate, seed, solve)
 
 
-def _pentagon_holds(ring, values: dict[FKey, FieldScalar]) -> bool:
+def _pentagon_keys(ring):
+    """Every pentagon instance as its two left-hand keys and the three keys
+    of each summand, enumerated once for all fillings (oracle path)."""
+    return [((FKey(x, y, c, u, d, a), FKey(a, z, w, u, c, b)),
+             [(FKey(y, z, w, d, c, t), FKey(x, t, w, u, d, b),
+               FKey(x, y, z, b, t, a)) for t in esum])
+            for x, y, z, w, u, a, b, c, d, esum in _raw_instances(ring)]
+
+
+def _pentagon_holds(instances, values: dict[FKey, FieldScalar]) -> bool:
     """Direct dict-based residual check with early exit (oracle path)."""
-    for x, y, z, w, u, a, b, c, d, esum in _raw_instances(ring):
-        lhs = values[FKey(x, y, c, u, d, a)] * values[FKey(a, z, w, u, c, b)]
-        for t in esum:
-            lhs = lhs - (values[FKey(y, z, w, d, c, t)]
-                         * values[FKey(x, t, w, u, d, b)]
-                         * values[FKey(x, y, z, b, t, a)])
+    for (k1, k2), summands in instances:
+        lhs = values[k1] * values[k2]
+        for k3, k4, k5 in summands:
+            lhs = lhs - (values[k3] * values[k4] * values[k5])
         if not lhs.is_zero():
             return False
     return True
@@ -56,13 +63,14 @@ def _oracle_tables(name, atoms_for_block):
             singles.append(k)
     assert len(blocks) == 1
     block_keys = sorted(next(iter(blocks.values())), key=lambda k: k.sort_key)
+    instances = _pentagon_keys(ring)
     solutions = []
     for block in _orthogonal_blocks(ring, block_keys, atoms_for_block):
         for signs in product((one, -one), repeat=len(singles)):
             values = {k: one for k in unit_keys}
             values.update(block)
             values.update(zip(singles, signs))
-            if _pentagon_holds(ring, values):
+            if _pentagon_holds(instances, values):
                 solutions.append(values)
     return ring, solutions
 
