@@ -182,8 +182,12 @@ def cmd_render(args) -> int:
     width = args.width or math.isqrt(len(values) - 1) + 1
     height = (len(values) + width - 1) // width
     body = bytearray()
+    pixels: dict = {}
     for v in values:
-        body += _pixel(v)
+        pixel = pixels.get(v)
+        if pixel is None:
+            pixel = pixels[v] = _pixel(v)
+        body += pixel
     body += bytes((128, 128, 128)) * (width * height - len(values))
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     with open(args.out, "wb") as fh:

@@ -158,6 +158,7 @@ class FieldScalar:
     Stored as an integer coordinate vector over the monomial basis together
     with one positive denominator, always reduced (gcd of all numerators and
     the denominator is 1), so equality is plain structural equality.
+    Values are immutable: one object may be shared by many table entries.
     """
 
     __slots__ = ("tower", "_num", "_den", "_hash")
@@ -648,7 +649,9 @@ class ParamScalar:
     """Polynomial in the sign parameters p1, p2 over a field tower.
 
     Terms map monomials (i, j) -- meaning p1**i * p2**j with i, j in {0, 1}
-    -- to field coefficients.  Zero coefficients are never stored.
+    -- to field coefficients.  Zero coefficients are never stored.  Values
+    are immutable (``terms`` is never assigned into after construction), so
+    one object may be shared by many table entries; equal values hash alike.
     """
 
     __slots__ = ("tower", "terms")

@@ -8,6 +8,11 @@ The data set file format is UTF-8 text: a header line ``h3fsym v1``, optional
 
 using the object tokens of the ring and the canonical scalar grammar of
 :mod:`fusioncat.exactnum`.  Lines are sorted by key (a, b, c, u, f, e).
+
+The data set holds few distinct values (1431 entries, 51 distinct expression
+texts), so ``parse``, ``serialize``, ``substitute_params`` and
+``build_h3_table`` work out each distinct value once per call, in a local
+dict, and let the entries share the resulting immutable scalars.
 """
 
 from __future__ import annotations
@@ -129,8 +134,15 @@ class FSymbolTable:
         return self.map_entries(rescale)
 
     def substitute_params(self, p1: int, p2: int) -> "FSymbolTable":
-        return self.map_entries(
-            lambda k, v: ParamScalar.from_field(v.substitute(p1, p2)))
+        done: dict[ParamScalar, ParamScalar] = {}
+
+        def at_point(k: FKey, v: ParamScalar) -> ParamScalar:
+            out = done.get(v)
+            if out is None:
+                out = done[v] = ParamScalar.from_field(v.substitute(p1, p2))
+            return out
+
+        return self.map_entries(at_point)
 
     def check_orthogonality(self) -> BlockReport:
         """F Ft = Ft F = identity, exactly and symbolically, per block."""
@@ -162,8 +174,12 @@ class FSymbolTable:
                  "# rows of a block run over the right-tree internal label e,"
                  " columns over the left-tree label f"]
         t = self.ring.token
+        texts: dict[ParamScalar, str] = {}
         for k in sorted(self.entries, key=lambda k: k.sort_key):
-            expr = render_scalar(self.entries[k])
+            v = self.entries[k]
+            expr = texts.get(v)
+            if expr is None:
+                expr = texts[v] = render_scalar(v)
             lines.append(
                 f"F {t(k.u)} {t(k.a)} {t(k.b)} {t(k.c)} {t(k.e)} {t(k.f)} = {expr}")
         return "\n".join(lines) + "\n"
@@ -181,20 +197,36 @@ class DatasetParseError(ValueError):
         self.column = column
 
 
+def _ring_comment(name: str, ring: FusionRing | None, ln: int) -> FusionRing:
+    """The ring a ``# ring:`` comment names; it must agree with a fixed one."""
+    if ring is not None and name == ring.name:
+        return ring
+    try:
+        named = builtin_ring(name)
+    except ValueError as exc:
+        raise DatasetParseError(str(exc), ln) from exc
+    if ring is not None and named is not ring:
+        raise DatasetParseError(
+            f"ring comment names {named.name}, but the data set is read as "
+            f"{ring.name}", ln)
+    return named
+
+
 def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
     """Parse the dataset text format; inverse of ``FSymbolTable.serialize``."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise DatasetParseError(f"expected header {HEADER!r}", 1)
     entries: dict[FKey, ParamScalar] = {}
+    values: dict[str, ParamScalar] = {}
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("ring:") and ring is None:
-                ring = builtin_ring(body.split(":", 1)[1].strip())
+            if body.startswith("ring:"):
+                ring = _ring_comment(body.split(":", 1)[1].strip(), ring, ln)
             continue
         if ring is None:
             ring = builtin_ring("h3")
@@ -210,10 +242,13 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
             key = ring.key(a, b, c, u, e, f)
         except ValueError as exc:
             raise DatasetParseError(str(exc), ln) from exc
-        try:
-            value = parse_scalar(parts[1].strip(), ring.tower)
-        except ScalarParseError as exc:
-            raise DatasetParseError(str(exc), ln, exc.pos) from exc
+        expr = parts[1].strip()
+        value = values.get(expr)
+        if value is None:
+            try:
+                value = values[expr] = parse_scalar(expr, ring.tower)
+            except ScalarParseError as exc:
+                raise DatasetParseError(str(exc), ln, exc.pos) from exc
         if key in entries:
             raise DatasetParseError(f"duplicate key {ring.describe(key)}", ln)
         entries[key] = value
@@ -247,22 +282,27 @@ def _h3_atom(name: str) -> FieldScalar:
     return _ATOMS[name]
 
 
-def _h3_value(ring: FusionRing, cell: tuple[int, str, int, int]) -> ParamScalar:
-    sign, atom, i, j = cell
-    return ParamScalar(ring.tower, {(i, j): _h3_atom(atom) * sign})
-
-
 def build_h3_table() -> FSymbolTable:
     """The exact two-parameter H3 solution, all 1431 entries."""
     ring = builtin_ring("h3")
     entries: dict[FKey, ParamScalar] = {}
+    values: dict[tuple[int, str, int, int], ParamScalar] = {}
+
+    def value_of(cell: tuple[int, str, int, int]) -> ParamScalar:
+        value = values.get(cell)
+        if value is None:
+            sign, atom, i, j = cell
+            value = values[cell] = ParamScalar(
+                ring.tower, {(i, j): _h3_atom(atom) * sign})
+        return value
+
     for (a, b, c, u), cell in _h3_data.ONE_DIM.items():
         ai, bi, ci, ui = (ring.label(x) for x in (a, b, c, u))
         es = ring.e_labels(ai, bi, ci, ui)
         fs = ring.f_labels(ai, bi, ci, ui)
         if len(es) != 1 or len(fs) != 1:
             raise AssertionError(f"block ({a},{b},{c};{u}) is not one-dimensional")
-        entries[FKey(ai, bi, ci, ui, es[0], fs[0])] = _h3_value(ring, cell)
+        entries[FKey(ai, bi, ci, ui, es[0], fs[0])] = value_of(cell)
     for (a, b, c, u), (rows, cols, cells) in _h3_data.BLOCKS.items():
         ai, bi, ci, ui = (ring.label(x) for x in (a, b, c, u))
         es = ring.e_labels(ai, bi, ci, ui)
@@ -273,7 +313,7 @@ def build_h3_table() -> FSymbolTable:
             raise AssertionError(f"column labels of ({a},{b},{c};{u}) disagree")
         for e, row in zip(es, cells):
             for f, cell in zip(fs, row):
-                entries[FKey(ai, bi, ci, ui, e, f)] = _h3_value(ring, cell)
+                entries[FKey(ai, bi, ci, ui, e, f)] = value_of(cell)
     return FSymbolTable(ring, entries)
 
 

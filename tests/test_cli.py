@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, including the exit-code contract."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -247,3 +248,39 @@ def test_verify_rejects_jobs_below_one(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+# sha256 of the exported data set and of its renderings; any change to
+# ``export`` or ``render`` bytes must show here
+EXPORT_SHA256 = "c847890a1dfb060881ecaa30cf34676358d1a5aa68b841e8f93735060264541f"
+RENDER_SHA256 = {
+    ("+1,+1", "sorted"): "1558a41c2ec46abca70ce2d5823cfd0838d4aa3bae641c59c26e3601b3f4024a",
+    ("+1,-1", "sorted"): "b51d05fdd1b4b273657d63f86f0c3dcc4d0485d5644fe635883d7d9bea27d7ea",
+    ("-1,+1", "sorted"): "a0d589413307ef6b8a0eca644bc2a1c3f742bb1c08cc9b183acabf9af63141a8",
+    ("-1,-1", "sorted"): "6a31c7d9feadd0c0980ebfd7a5c1c701d212ff89fc6fee7d6e208510e3fcac97",
+    ("+1,+1", "seeded:7"): "ca3873cce3661647fdcf0ead8514ae5cd32a14de6fb24b88fca65978629739ed",
+    ("+1,-1", "seeded:7"): "965f99f3ea34b144cf23700465fb10f6d66da3de360bf33c9d491683044d5734",
+    ("-1,+1", "seeded:7"): "83b83ef7185c904a437377354207b0cb15dc19ff663579e4befa087b0f76629c",
+    ("-1,-1", "seeded:7"): "11f57faaabafd0b425685ecb40500eb4c3e2cc5b2b36ca150de044ac59625292",
+}
+
+
+def test_export_and_render_bytes_are_pinned(tmp_path, capsys):
+    dataset = tmp_path / "h3.fsym"
+    assert cli.main(["export", "--builtin", "h3", "--out", str(dataset)]) == 0
+    assert hashlib.sha256(dataset.read_bytes()).hexdigest() == EXPORT_SHA256
+    out = tmp_path / "map.ppm"
+    for (params, order), want in RENDER_SHA256.items():
+        assert cli.main(["render", "--dataset", str(dataset), f"--params={params}",
+                         "--order", order, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (params, order)
+    capsys.readouterr()
+
+
+def test_conflicting_ring_comment_is_an_input_error(tmp_path):
+    lines = build_h3_table().serialize().splitlines()
+    path = tmp_path / "mixed.fsym"
+    path.write_text("\n".join(lines[:10] + ["# ring: fib"] + lines[10:]) + "\n")
+    proc = run_cli("verify", "--dataset", str(path))
+    assert proc.returncode == 2
+    assert "line 11" in proc.stderr and "fibonacci" in proc.stderr

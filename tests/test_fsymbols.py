@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from fusioncat.exactnum import ParamScalar, named_constant, render_scalar
+from fusioncat.exactnum import (ParamScalar, ScalarParseError, named_constant,
+                                parse_scalar, render_scalar)
 from fusioncat.fsymbols import (DatasetParseError, FSymbolTable,
                                 GaugeAssignment, all_ones_table,
                                 build_h3_table, parse)
-from fusioncat.fusionring import builtin_ring, enumerate_fkeys
+from fusioncat.fusionring import builtin_ring, enumerate_fkeys, f_blocks
+from fusioncat.pentagon import find_failing_instance, negate_entry
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +181,85 @@ def test_tables_reject_partial_entry_maps(table, h3):
     entries.popitem()
     with pytest.raises(ValueError, match="not total"):
         FSymbolTable(h3, entries)
+
+
+def _with_line(lines, at, line):
+    return "\n".join(lines[:at] + [line] + lines[at:]) + "\n"
+
+
+def test_conflicting_ring_comment_is_rejected(table):
+    lines = table.serialize().splitlines()
+    with pytest.raises(DatasetParseError, match="fibonacci") as err:
+        parse(_with_line(lines, 10, "# ring: fib"))
+    assert err.value.line == 11
+    with pytest.raises(DatasetParseError, match="fibonacci") as err:
+        parse(table.serialize(), ring=builtin_ring("fibonacci"))
+    assert err.value.line == 2
+
+
+def test_ring_comment_after_entries_must_match_the_default():
+    z3 = builtin_ring("z3_pointed")
+    lines = all_ones_table(z3).serialize().splitlines()
+    comment = lines.pop(1)
+    assert comment == "# ring: z3_pointed"
+    lines.append(comment)
+    with pytest.raises(DatasetParseError, match="z3_pointed") as err:
+        parse("\n".join(lines) + "\n")
+    assert err.value.line == len(lines)
+
+
+def test_repeated_ring_comment_is_accepted(table):
+    lines = table.serialize().splitlines()
+    assert parse(_with_line(lines, 10, "# ring: h3")) == table
+    assert parse(table.serialize(), ring=builtin_ring("h3")) == table
+
+
+def test_unknown_ring_comment_is_rejected(table):
+    lines = table.serialize().splitlines()
+    with pytest.raises(DatasetParseError, match="unknown ring") as err:
+        parse(_with_line(lines, 1, "# ring: nosuch"))
+    assert err.value.line == 2
+
+
+def test_parse_error_positions_survive_shared_values(table):
+    good = table.serialize().splitlines()
+    bad = "(1/2+3/0*r13)"
+    with pytest.raises(ScalarParseError) as direct:
+        parse_scalar(bad, table.ring.tower)
+    text = "\n".join(good[:5] + [f"F r r r r 1 1 = {bad}",
+                                 f"F r r r r r r = {bad}"] + good[5:])
+    with pytest.raises(DatasetParseError, match="zero denominator") as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (6, direct.value.pos)
+    # a duplicate after a value shared with earlier lines is still a duplicate
+    expr = good[-1].split("=", 1)[1].strip()
+    assert sum(line.endswith("= " + expr) for line in good) > 1
+    with pytest.raises(DatasetParseError, match="duplicate") as err:
+        parse("\n".join(good + [good[-1]]))
+    assert err.value.line == len(good) + 1
+    # a bad key fails on its own line although its expression is known
+    with pytest.raises(DatasetParseError, match="unknown|inadmissible") as err:
+        parse("\n".join(good[:20] + [f"F r q r r 1 1 = {expr}"] + good[20:]))
+    assert err.value.line == 21
+
+
+def test_shared_values_are_safe_to_edit(table, h3):
+    parsed = parse(table.serialize())
+    holders = {}
+    for k, v in parsed.entries.items():
+        holders.setdefault(id(v), []).append(k)
+    four_dim = {(b.a, b.b, b.c, b.u) for b in f_blocks(h3) if b.dim == 4}
+    key = next(ks[0] for ks in holders.values() if len(ks) > 1
+               and (ks[0].a, ks[0].b, ks[0].c, ks[0].u) in four_dim)
+    partners = holders[id(parsed.entries[key])]
+    mutated = negate_entry(parsed, key)
+    changed = [k for k in mutated.entries if mutated.entries[k] != table.entries[k]]
+    assert changed == [key]
+    assert mutated.entries[key] == -table.entries[key]
+    assert all(mutated.entries[k] == table.entries[k] for k in partners[1:])
+    assert find_failing_instance(mutated, key) is not None
+    gauge = _random_gauge(h3, random.Random(5))
+    assert parsed.apply_gauge(gauge) == table.apply_gauge(gauge)
+    for p1, p2 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+        assert (parsed.substitute_params(p1, p2)
+                == table.substitute_params(p1, p2))
