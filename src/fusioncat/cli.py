@@ -303,6 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a separate value such as -1,+1 as a flag; joined, it
+    # stays the value of --params
+    while "--params" in argv[:-1]:
+        i = argv.index("--params")
+        argv[i:i + 2] = ["--params=" + argv[i + 1]]
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -35,7 +35,9 @@ class TowerSpec:
 
     Construction precomputes the products of all pairs of basis monomials as
     integer vectors over one common denominator, which is what makes scalar
-    multiplication a short integer loop instead of a recursion.
+    multiplication a short integer loop instead of a recursion.  The table
+    of the top level is read off :class:`FieldScalar` products in the tower
+    one generator shorter, whose own table is built the same way.
     """
 
     name: str
@@ -50,24 +52,24 @@ class TowerSpec:
         for i, sq in enumerate(self.squares):
             if len(sq) != 1 << i:
                 raise ValueError(f"level {i} square has {len(sq)} coordinates, want {1 << i}")
-        k = len(self.gens)
-        deg = self.degree
-        raw = [[None] * deg for _ in range(deg)]
-        den = 1
-        for i in range(deg):
-            ei = [_ZERO] * deg
-            ei[i] = _ONE
-            for j in range(deg):
-                ej = [_ZERO] * deg
-                ej[j] = _ONE
-                prod = _vec_mul(self, tuple(ei), tuple(ej), k)
-                raw[i][j] = prod
-                for q in prod:
-                    den = den * q.denominator // math.gcd(den, q.denominator)
-        ptab = tuple(
-            tuple(tuple((idx, int(q * den)) for idx, q in enumerate(row) if q)
-                  for row in raw[i])
-            for i in range(deg))
+        if self.gens:
+            # (x0 + x1*g)(y0 + y1*g) = x0*y0 + x1*y1*g**2 + (x0*y1 + x1*y0)*g,
+            # the halves multiplied in the tower one level down
+            lower = TowerSpec(self.name, self.gens[:-1], self.squares[:-1])
+            h = lower.degree
+            basis = [FieldScalar(lower, tuple(int(i == j) for j in range(h)), 1)
+                     for i in range(h)]
+            g2 = lower.from_coords(self.squares[-1])
+            raw = [[(basis[i % h] * basis[j % h] * (g2 if i & j & h else 1),
+                     (i ^ j) & h) for j in range(2 * h)] for i in range(2 * h)]
+            den = math.lcm(*(p._den for row in raw for p, _ in row))
+            ptab = tuple(
+                tuple(tuple((k + shift, v * (den // p._den))
+                            for k, v in enumerate(p._num) if v)
+                      for p, shift in row)
+                for row in raw)
+        else:
+            ptab, den = ((((0, 1),),),), 1
         object.__setattr__(self, "_ptab", ptab)
         object.__setattr__(self, "_pden", den)
         # generator enclosures per precision, filled by _gen_intervals
@@ -99,57 +101,6 @@ class TowerSpec:
         for q in coords:
             den = den * q.denominator // math.gcd(den, q.denominator)
         return FieldScalar(self, tuple(int(q * den) for q in coords), den)
-
-
-def _vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _vec_scale(x, q):
-    return tuple(a * q for a in x)
-
-
-def _vec_mul(tower: TowerSpec, x, y, level: int):
-    """Multiply coordinate vectors of length 2**level."""
-    if level == 0:
-        return (x[0] * y[0],)
-    h = 1 << (level - 1)
-    x0, x1 = x[:h], x[h:]
-    y0, y1 = y[:h], y[h:]
-    sq = tower.squares[level - 1]
-    lo = _vec_add(
-        _vec_mul(tower, x0, y0, level - 1),
-        _vec_mul(tower, _vec_mul(tower, x1, y1, level - 1), sq, level - 1),
-    )
-    hi = _vec_add(_vec_mul(tower, x0, y1, level - 1), _vec_mul(tower, x1, y0, level - 1))
-    return lo + hi
-
-
-def _vec_inv(tower: TowerSpec, x, level: int):
-    """Invert a nonzero coordinate vector of length 2**level."""
-    if level == 0:
-        if x[0] == 0:
-            raise ZeroDivisionError("division by zero")
-        return (1 / x[0],)
-    h = 1 << (level - 1)
-    x0, x1 = x[:h], x[h:]
-    sq = tower.squares[level - 1]
-    # norm to the level below: x0^2 - x1^2 * sq, nonzero for x != 0 because
-    # each level is a proper quadratic extension
-    norm = _vec_sub(
-        _vec_mul(tower, x0, x0, level - 1),
-        _vec_mul(tower, _vec_mul(tower, x1, x1, level - 1), sq, level - 1),
-    )
-    if all(c == 0 for c in norm):
-        raise ZeroDivisionError("division by zero")
-    ninv = _vec_inv(tower, norm, level - 1)
-    lo = _vec_mul(tower, x0, ninv, level - 1)
-    hi = _vec_scale(_vec_mul(tower, x1, ninv, level - 1), -1)
-    return lo + hi
 
 
 class FieldScalar:
@@ -416,56 +367,49 @@ def field_sqrt(x: FieldScalar) -> FieldScalar | None:
     """
     if x.sign() < 0:
         return None
-    coords = _sqrt_vec(x.tower, x.coords, len(x.tower.gens))
-    if coords is None:
+    r = _sqrt_below(x, len(x.tower.gens))
+    if r is None:
         return None
-    r = x.tower.from_coords(coords)
     return -r if r.sign() < 0 else r
 
 
-def _rat_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _sqrt_below(x: FieldScalar, level: int) -> FieldScalar | None:
+    """A square root of x in the subfield of the first ``level`` generators,
+    which holds x too, or None if it has none there.
 
-
-def _sqrt_vec(tower: TowerSpec, x, level: int):
+    Norm descent: a root a + b*g of x0 + x1*g, with g the generator of the
+    level and a, b, x0, x1 one level down, has a**2 = (x0 +- m)/2 where
+    m**2 = x0**2 - x1**2*g**2, and b = x1/(2a).
+    """
+    tower = x.tower
+    num, den = x._num, x._den
     if level == 0:
-        r = _rat_sqrt(x[0])
-        return None if r is None else (r,)
+        if num[0] < 0:
+            return None
+        rn, rd = math.isqrt(num[0]), math.isqrt(den)
+        if rn * rn != num[0] or rd * rd != den:
+            return None
+        return FieldScalar(tower, (rn,) + num[1:], rd)
     h = 1 << (level - 1)
-    x0, x1 = x[:h], x[h:]
-    sq = tower.squares[level - 1]
-    zero = (_ZERO,) * h
-    if all(c == 0 for c in x1):
-        r0 = _sqrt_vec(tower, x0, level - 1)
+    pad = (0,) * (tower.degree - h)
+    x0 = FieldScalar(tower, num[:h] + pad, den)
+    x1 = FieldScalar(tower, num[h:2 * h] + pad, den)
+    g = tower.gen(level - 1)
+    if x1.is_zero():
+        r0 = _sqrt_below(x0, level - 1)
         if r0 is not None:
-            return r0 + zero
-        # maybe sqrt(x0) = y * gen with y^2 = x0 / sq
-        quot = _vec_mul(tower, x0, _vec_inv(tower, sq, level - 1), level - 1)
-        y = _sqrt_vec(tower, quot, level - 1)
-        if y is not None:
-            return zero + y
-        return None
-    # seek (a + b*gen)^2 = x0 + x1*gen: a^2 = (x0 +- m)/2 with m = sqrt(norm)
-    norm = _vec_sub(
-        _vec_mul(tower, x0, x0, level - 1),
-        _vec_mul(tower, _vec_mul(tower, x1, x1, level - 1), sq, level - 1),
-    )
-    m = _sqrt_vec(tower, norm, level - 1)
+            return r0
+        # maybe sqrt(x0) = y * g with y**2 = x0 / g**2
+        y = _sqrt_below(x0 / (g * g), level - 1)
+        return None if y is None else y * g
+    m = _sqrt_below(x0 * x0 - x1 * x1 * (g * g), level - 1)
     if m is None:
         return None
-    for mm in (m, _vec_scale(m, -1)):
-        half = _vec_scale(_vec_add(x0, mm), Fraction(1, 2))
-        a = _sqrt_vec(tower, half, level - 1)
-        if a is None or all(c == 0 for c in a):
+    for mm in (m, -m):
+        a = _sqrt_below((x0 + mm) * Fraction(1, 2), level - 1)
+        if a is None or a.is_zero():
             continue
-        b = _vec_mul(tower, x1, _vec_inv(tower, _vec_scale(a, 2), level - 1), level - 1)
-        return a + b
+        return a + x1 / (a * 2) * g
     return None
 
 

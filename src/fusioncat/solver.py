@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import copy
 import time
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -43,7 +42,7 @@ from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant, render_scalar)
 from .fsymbols import FSymbolTable
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
-from .pentagon import _pentagon_plan, verify_all
+from .pentagon import _pentagon_plan, _per_ring, verify_all
 
 Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> coeff
 
@@ -180,14 +179,9 @@ class _Plan:
         return out
 
 
-_PLANS: "weakref.WeakKeyDictionary[FusionRing, _Plan]" = weakref.WeakKeyDictionary()
-
-
+@_per_ring
 def _plan(ring: FusionRing) -> _Plan:
-    plan = _PLANS.get(ring)
-    if plan is None:
-        plan = _PLANS[ring] = _Plan(ring)
-    return plan
+    return _Plan(ring)
 
 
 def _compiled_term(plan: _Plan, items, negated: bool):

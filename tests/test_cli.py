@@ -284,3 +284,17 @@ def test_conflicting_ring_comment_is_an_input_error(tmp_path):
     proc = run_cli("verify", "--dataset", str(path))
     assert proc.returncode == 2
     assert "line 11" in proc.stderr and "fibonacci" in proc.stderr
+
+
+def test_params_value_may_start_with_a_minus(tmp_path, capsys):
+    outs = [tmp_path / "joined.ppm", tmp_path / "separate.ppm"]
+    spellings = (["--params=-1,+1"], ["--params", "-1,+1"])
+    for out, params in zip(outs, spellings):
+        assert cli.main(["render", "--builtin", "h3", *params,
+                         "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert hashlib.sha256(outs[1].read_bytes()).hexdigest() == \
+        RENDER_SHA256["-1,+1", "sorted"]
+    capsys.readouterr()
+    proc = run_cli("verify", "--builtin", "z3", "--params", "-1,-1")
+    assert proc.returncode == 0, proc.stderr

@@ -1,17 +1,136 @@
 """Exact field arithmetic, constants, text form, approximation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fusioncat.exactnum import (MAX_NESTING_DEPTH, ParamScalar,
-                                ScalarParseError, _vec_inv, approx,
-                                field_add, field_inv, field_mul, field_sqrt,
+from fusioncat.exactnum import (MAX_NESTING_DEPTH, FieldScalar, ParamScalar,
+                                ScalarParseError, approx, field_add, field_inv, field_mul, field_sqrt,
                                 gauss_jordan, is_zero, named_constant,
                                 param_mul, param_substitute, parse_scalar,
                                 render_scalar, tower_preset)
 from fusioncat.pentagon import _invert_param_matrix
+
+
+# ---------------------------------------------------------------------------
+# reference: recursive Fraction arithmetic on coordinate vectors, which the
+# integer product table and the norm descent of field_sqrt must agree with
+
+def _vec_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _vec_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _vec_scale(x, q):
+    return tuple(a * q for a in x)
+
+
+def _vec_mul(tower, x, y, level):
+    """Multiply coordinate vectors of length 2**level."""
+    if level == 0:
+        return (x[0] * y[0],)
+    h = 1 << (level - 1)
+    x0, x1 = x[:h], x[h:]
+    y0, y1 = y[:h], y[h:]
+    sq = tower.squares[level - 1]
+    lo = _vec_add(
+        _vec_mul(tower, x0, y0, level - 1),
+        _vec_mul(tower, _vec_mul(tower, x1, y1, level - 1), sq, level - 1),
+    )
+    hi = _vec_add(_vec_mul(tower, x0, y1, level - 1), _vec_mul(tower, x1, y0, level - 1))
+    return lo + hi
+
+
+def _vec_inv(tower, x, level):
+    """Invert a nonzero coordinate vector of length 2**level."""
+    if level == 0:
+        if x[0] == 0:
+            raise ZeroDivisionError("division by zero")
+        return (1 / x[0],)
+    h = 1 << (level - 1)
+    x0, x1 = x[:h], x[h:]
+    sq = tower.squares[level - 1]
+    norm = _vec_sub(
+        _vec_mul(tower, x0, x0, level - 1),
+        _vec_mul(tower, _vec_mul(tower, x1, x1, level - 1), sq, level - 1),
+    )
+    if all(c == 0 for c in norm):
+        raise ZeroDivisionError("division by zero")
+    ninv = _vec_inv(tower, norm, level - 1)
+    lo = _vec_mul(tower, x0, ninv, level - 1)
+    hi = _vec_scale(_vec_mul(tower, x1, ninv, level - 1), -1)
+    return lo + hi
+
+
+def _rat_sqrt(q):
+    if q < 0:
+        return None
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _sqrt_vec(tower, x, level):
+    if level == 0:
+        r = _rat_sqrt(x[0])
+        return None if r is None else (r,)
+    h = 1 << (level - 1)
+    x0, x1 = x[:h], x[h:]
+    sq = tower.squares[level - 1]
+    zero = (Fraction(0),) * h
+    if all(c == 0 for c in x1):
+        r0 = _sqrt_vec(tower, x0, level - 1)
+        if r0 is not None:
+            return r0 + zero
+        quot = _vec_mul(tower, x0, _vec_inv(tower, sq, level - 1), level - 1)
+        y = _sqrt_vec(tower, quot, level - 1)
+        if y is not None:
+            return zero + y
+        return None
+    norm = _vec_sub(
+        _vec_mul(tower, x0, x0, level - 1),
+        _vec_mul(tower, _vec_mul(tower, x1, x1, level - 1), sq, level - 1),
+    )
+    m = _sqrt_vec(tower, norm, level - 1)
+    if m is None:
+        return None
+    for mm in (m, _vec_scale(m, -1)):
+        half = _vec_scale(_vec_add(x0, mm), Fraction(1, 2))
+        a = _sqrt_vec(tower, half, level - 1)
+        if a is None or all(c == 0 for c in a):
+            continue
+        b = _vec_mul(tower, x1, _vec_inv(tower, _vec_scale(a, 2), level - 1), level - 1)
+        return a + b
+    return None
+
+
+def _reference_ptab(tower):
+    """The product table and its denominator, from the recursive product."""
+    k, deg = len(tower.gens), tower.degree
+    unit = [tuple(Fraction(int(i == j)) for j in range(deg)) for i in range(deg)]
+    raw = [[_vec_mul(tower, unit[i], unit[j], k) for j in range(deg)]
+           for i in range(deg)]
+    den = math.lcm(*(q.denominator for row in raw for prod in row for q in prod))
+    ptab = tuple(tuple(tuple((idx, int(q * den)) for idx, q in enumerate(prod) if q)
+                       for prod in row) for row in raw)
+    return ptab, den
+
+
+def _reference_sqrt(x):
+    if x.sign() < 0:
+        return None
+    coords = _sqrt_vec(x.tower, x.coords, len(x.tower.gens))
+    if coords is None:
+        return None
+    r = x.tower.from_coords(coords)
+    return -r if r.sign() < 0 else r
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +211,27 @@ def test_field_axioms(h3):
         assert x * (y + z) == x * y + x * z
         if not x.is_zero():
             assert x * x.inverse() == 1
+
+
+def _conjugate(x, bit):
+    """Negate the coordinates whose monomial carries the generator ``bit``."""
+    num, den = x.integer_coords()
+    return FieldScalar(x.tower, tuple(-v if i & bit else v
+                                      for i, v in enumerate(num)), den)
+
+
+def test_galois_conjugation_commutes_with_mul(h3):
+    # rA -> -rA and rE -> -rE fix Q(r13) and are automorphisms; r13 -> -r13
+    # is not one, since it would send rA**2 = (r13 - 3)/2 to a negative
+    rng = random.Random(1906)
+    pairs = [(_random_scalar(h3, rng, 50), _random_scalar(h3, rng, 50))
+             for _ in range(50)]
+    for bit in (2, 4):
+        for x, y in pairs:
+            assert _conjugate(x * y, bit) == _conjugate(x, bit) * _conjugate(y, bit)
+            assert _conjugate(x + y, bit) == _conjugate(x, bit) + _conjugate(y, bit)
+    assert all(_conjugate(x * y, 1) != _conjugate(x, 1) * _conjugate(y, 1)
+               for x, y in pairs)
 
 
 def test_zero_test_soundness(h3):
@@ -201,6 +341,35 @@ def test_inverse_on_every_tower(name):
     assert checked > 30
     with pytest.raises(ZeroDivisionError, match="division by zero"):
         tower.zero().inverse()
+
+
+@pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])
+def test_product_table_matches_reference(name):
+    tower = tower_preset(name)
+    assert (tower._ptab, tower._pden) == _reference_ptab(tower)
+
+
+@pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])
+def test_field_sqrt_matches_reference(name):
+    tower = tower_preset(name)
+    rng = random.Random(83)
+    roots = nones = 0
+    for _ in range(25):
+        # sparse operands reach the branch where the top half is zero
+        x = tower.from_coords([Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                               if rng.random() < 0.6 else 0
+                               for _ in range(tower.degree)])
+        g = tower.gen(rng.randrange(len(tower.gens))) if tower.gens else 3
+        for y in (x * x, x * x * g, -(x * x), x):
+            root = field_sqrt(y)
+            assert root == _reference_sqrt(y)
+            if root is None:
+                nones += 1
+            else:
+                assert root * root == y and root.sign() >= 0
+                roots += 1
+        assert field_sqrt(x * x) in (x, -x)
+    assert roots >= 25 and nones >= 25
 
 
 @pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])

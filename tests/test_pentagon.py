@@ -615,3 +615,27 @@ def test_verify_pool_is_capped_at_the_label_count(monkeypatch):
     for jobs, procs in ((10 ** 6, 3), (2, 2)):
         assert verify_all(ones, jobs=jobs).render() == serial.render()
         assert sizes.pop() == procs
+
+
+def _galois_conjugate(table, bit):
+    """Every entry with the h3 coordinates on generator ``bit`` negated."""
+    def conj(x):
+        num, den = x.integer_coords()
+        return type(x)(x.tower, tuple(-v if i & bit else v
+                                      for i, v in enumerate(num)), den)
+    return table.map_entries(lambda k, v: ParamScalar(
+        v.tower, {m: conj(c) for m, c in v.terms.items()}))
+
+
+def test_galois_conjugates_pass_every_check(table, h3):
+    # rA -> -rA (bit 2) and rE -> -rE (bit 4) are field automorphisms, so
+    # they carry a solution to a solution; r13 -> -r13 (bit 1) is not one
+    key = random.Random(1906).choice(_four_dim_keys(h3))
+    for bit in (2, 4):
+        conjugate = _galois_conjugate(table, bit)
+        assert conjugate.entries != table.entries
+        assert verify_all(conjugate).passed
+        assert conjugate.check_orthogonality().passed
+        assert check_additional(conjugate).passed
+        assert find_failing_instance(negate_entry(conjugate, key), key) is not None
+    assert not verify_all(_galois_conjugate(table, 1)).passed
