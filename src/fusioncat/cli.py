@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .exactnum import approx, render_scalar
 from .fsymbols import (DatasetParseError, FSymbolTable, build_h3_table,
@@ -67,6 +68,15 @@ def _load_table(args) -> FSymbolTable:
         return all_ones_table(ring)
     tables = solve(ring)
     return tables[0]
+
+
+def _write_out(path: str, data: bytes) -> None:
+    """Write an ``--out`` file; one that cannot be opened or written is an
+    input error, as an unreadable ``--dataset`` is."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise InputError(str(exc))
 
 
 def _parse_params(text: str) -> tuple[int, int] | None:
@@ -190,8 +200,7 @@ def cmd_render(args) -> int:
         body += pixel
     body += bytes((128, 128, 128)) * (width * height - len(values))
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    with open(args.out, "wb") as fh:
-        fh.write(header + bytes(body))
+    _write_out(args.out, header + bytes(body))
     print(f"wrote {args.out}: {width}x{height} P6, {len(values)} entries")
     return EXIT_OK
 
@@ -230,8 +239,7 @@ def cmd_solve(args) -> int:
     if args.out:
         for i, table in enumerate(tables):
             path = args.out if len(tables) == 1 else f"{args.out}.{i}"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(table.serialize())
+            _write_out(path, table.serialize().encode("utf-8"))
             print(f"wrote {path}")
     else:
         print(tables[0].serialize(), end="")
@@ -242,8 +250,7 @@ def cmd_export(args) -> int:
     table = _load_table(args)
     text = table.serialize()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(args.out, text.encode("utf-8"))
         print(f"wrote {args.out}: {len(table.entries)} entries")
     else:
         print(text, end="")

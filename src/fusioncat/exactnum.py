@@ -213,7 +213,9 @@ class FieldScalar:
         automorphism of level i + 1 over level i.  Working from the top
         generator down, multiplying the running norm by that conjugate drops
         it one level, so after k steps ``self * conj`` is a nonzero rational
-        and the inverse is ``conj`` divided by it.
+        and the inverse is ``conj`` divided by it.  A level whose generator
+        the running norm does not carry is skipped: there the conjugate is the
+        norm itself, and multiplying would only square it.
         """
         if not any(self._num):
             raise ZeroDivisionError("division by zero")
@@ -222,6 +224,8 @@ class FieldScalar:
         conj = tower.one()
         for level in reversed(range(len(tower.gens))):
             bit = 1 << level
+            if not any(v for idx, v in enumerate(norm._num) if idx & bit):
+                continue
             flip = FieldScalar(
                 tower, tuple(-v if idx & bit else v
                              for idx, v in enumerate(norm._num)), norm._den)

@@ -9,20 +9,23 @@ The data set file format is UTF-8 text: a header line ``h3fsym v1``, optional
 using the object tokens of the ring and the canonical scalar grammar of
 :mod:`fusioncat.exactnum`.  Lines are sorted by key (a, b, c, u, f, e).
 
+The H3 data set ships in this format as ``h3_fsymbols.txt`` next to this
+module, byte for byte what ``serialize`` writes; ``build_h3_table`` parses it.
+
 The data set holds few distinct values (1431 entries, 51 distinct expression
-texts), so ``parse``, ``serialize``, ``substitute_params`` and
-``build_h3_table`` work out each distinct value once per call, in a local
-dict, and let the entries share the resulting immutable scalars.
+texts), so ``parse``, ``serialize`` and ``substitute_params`` work out each
+distinct value once per call, in a local dict, and let the entries share the
+resulting immutable scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
-from . import _h3_data
-from .exactnum import (FieldScalar, ParamScalar, ScalarParseError,
-                       named_constant, parse_scalar, render_scalar)
+from .exactnum import (FieldScalar, ParamScalar, ScalarParseError, parse_scalar,
+                       render_scalar)
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
 
 HEADER = "h3fsym v1"
@@ -238,7 +241,7 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
             raise DatasetParseError(
                 "expected 'F <u> <a> <b> <c> <e> <f> = <expr>'", ln)
         try:
-            u, a, b, c, e, f = (ring.label(tok) for tok in head[1:])
+            u, a, b, c, e, f = head[1:]
             key = ring.key(a, b, c, u, e, f)
         except ValueError as exc:
             raise DatasetParseError(str(exc), ln) from exc
@@ -263,58 +266,9 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
 # ---------------------------------------------------------------------------
 # the H3 data set
 
-_ATOMS: dict[str, Callable[[], FieldScalar]] | None = None
-
-
-def _h3_atom(name: str) -> FieldScalar:
-    global _ATOMS
-    if _ATOMS is None:
-        tower = builtin_ring("h3").tower
-        _ATOMS = {
-            "1": tower.one(),
-            "A": named_constant("A"),
-            "sA": named_constant("sqrtA"),
-            "B": named_constant("B"),
-            "C": named_constant("C"),
-            "D+": named_constant("Dplus"),
-            "D-": named_constant("Dminus"),
-        }
-    return _ATOMS[name]
-
-
 def build_h3_table() -> FSymbolTable:
-    """The exact two-parameter H3 solution, all 1431 entries."""
-    ring = builtin_ring("h3")
-    entries: dict[FKey, ParamScalar] = {}
-    values: dict[tuple[int, str, int, int], ParamScalar] = {}
-
-    def value_of(cell: tuple[int, str, int, int]) -> ParamScalar:
-        value = values.get(cell)
-        if value is None:
-            sign, atom, i, j = cell
-            value = values[cell] = ParamScalar(
-                ring.tower, {(i, j): _h3_atom(atom) * sign})
-        return value
-
-    for (a, b, c, u), cell in _h3_data.ONE_DIM.items():
-        ai, bi, ci, ui = (ring.label(x) for x in (a, b, c, u))
-        es = ring.e_labels(ai, bi, ci, ui)
-        fs = ring.f_labels(ai, bi, ci, ui)
-        if len(es) != 1 or len(fs) != 1:
-            raise AssertionError(f"block ({a},{b},{c};{u}) is not one-dimensional")
-        entries[FKey(ai, bi, ci, ui, es[0], fs[0])] = value_of(cell)
-    for (a, b, c, u), (rows, cols, cells) in _h3_data.BLOCKS.items():
-        ai, bi, ci, ui = (ring.label(x) for x in (a, b, c, u))
-        es = ring.e_labels(ai, bi, ci, ui)
-        fs = ring.f_labels(ai, bi, ci, ui)
-        if tuple(ring.token(e) for e in es) != rows:
-            raise AssertionError(f"row labels of ({a},{b},{c};{u}) disagree")
-        if tuple(ring.token(f) for f in fs) != cols:
-            raise AssertionError(f"column labels of ({a},{b},{c};{u}) disagree")
-        for e, row in zip(es, cells):
-            for f, cell in zip(fs, row):
-                entries[FKey(ai, bi, ci, ui, e, f)] = value_of(cell)
-    return FSymbolTable(ring, entries)
+    """The exact two-parameter H3 solution: the shipped file, parsed afresh."""
+    return parse(Path(__file__).with_name("h3_fsymbols.txt").read_text("utf-8"))
 
 
 def all_ones_table(ring: FusionRing) -> FSymbolTable:

@@ -120,6 +120,19 @@ def test_missing_file_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_unwritable_out_is_an_input_error(tmp_path):
+    out = str(tmp_path / "missing" / "x")
+    for args in (("render", "--out", out), ("export", "--out", out),
+                 ("solve", "--builtin", "z3", "--out", out)):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "internal error" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "missing").exists()
+
+
 def test_deeply_nested_scalar_is_an_input_error(tmp_path):
     path = tmp_path / "deep.fsym"
     path.write_text("h3fsym v1\nF r r r r 1 1 = " + "(" * 5000 + "1"

@@ -344,6 +344,32 @@ def test_inverse_on_every_tower(name):
 
 
 @pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])
+def test_inverse_in_subfields(name):
+    # elements generated by a proper subset of the generators (Q alone for
+    # the rationals), for which inverse skips the levels they do not carry
+    tower = tower_preset(name)
+    rng = random.Random(97)
+    n = len(tower.gens)
+    checked = 0
+    for mask in range(max((1 << n) - 1, 1)):
+        monomials = [tower.one()]
+        for i in range(n):
+            if mask >> i & 1:
+                monomials += [m * tower.gen(i) for m in monomials]
+        for _ in range(10):
+            x = sum((Fraction(rng.randint(-40, 40), rng.randint(1, 25)) * m
+                     for m in monomials if rng.random() < 0.7), start=tower.zero())
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert x * inv == 1
+            assert inv == tower.from_coords(
+                _vec_inv(tower, x.coords, len(tower.gens)))
+            checked += 1
+    assert checked >= 5 * max((1 << n) - 1, 1)
+
+
+@pytest.mark.parametrize("name", ["rationals", "ising", "fibonacci", "h3"])
 def test_product_table_matches_reference(name):
     tower = tower_preset(name)
     assert (tower._ptab, tower._pden) == _reference_ptab(tower)

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fusioncat import fsymbols
 from fusioncat.exactnum import (ParamScalar, ScalarParseError, named_constant,
                                 parse_scalar, render_scalar)
 from fusioncat.fsymbols import (DatasetParseError, FSymbolTable,
@@ -152,6 +154,12 @@ def test_serialize_round_trip(table):
     assert "F r r r r 1 1 = (-3/2+1/2*r13)" in text
     again = parse(text)
     assert again == table
+
+
+def test_shipped_data_set_is_canonical(table):
+    # export must reproduce the shipped file byte for byte
+    path = Path(fsymbols.__file__).with_name("h3_fsymbols.txt")
+    assert path.read_bytes() == table.serialize().encode("utf-8")
 
 
 def test_serialize_round_trip_other_rings():
