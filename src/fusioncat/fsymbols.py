@@ -148,22 +148,21 @@ class FSymbolTable:
         return self.map_entries(at_point)
 
     def check_orthogonality(self) -> BlockReport:
-        """F Ft = Ft F = identity, exactly and symbolically, per block."""
+        """F Ft = Ft F = identity, exactly and symbolically, per block.
+
+        Only F Ft is formed.  The sign polynomials form a commutative ring,
+        so F Ft = I gives det F * det Ft = 1: F is invertible with inverse
+        Ft, and Ft F = I follows.
+        """
         report = BlockReport("orthogonality")
         one = self.ring.tower.one()
+        zero = ParamScalar.from_field(self.ring.tower.zero())
         for blk in f_blocks(self.ring):
             m = self.f_matrix(blk.a, blk.b, blk.c, blk.u)
             d = blk.dim
-            ok = True
-            for i in range(d):
-                for j in range(i, d):
-                    row = sum((m[i][k] * m[j][k] for k in range(d)),
-                              start=ParamScalar.from_field(self.ring.tower.zero()))
-                    col = sum((m[k][i] * m[k][j] for k in range(d)),
-                              start=ParamScalar.from_field(self.ring.tower.zero()))
-                    want = one if i == j else 0
-                    if row != want or col != want:
-                        ok = False
+            ok = all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
+                     == (one if i == j else 0)
+                     for i in range(d) for j in range(i, d))
             report.checked += 1
             if not ok:
                 t = self.ring.token

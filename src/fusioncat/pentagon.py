@@ -18,9 +18,12 @@ table.  Once per ring object, each sweep's checks are compiled into a plan
 of key positions (:class:`_Plan`).  Once per table, the values are compiled
 into integer coefficients over one denominator times interned primitive
 field directions, listed by key position, with the products of two and
-three directions memoized as integer tower coordinates.  A residual is then
-an integer accumulation straight into (coordinate, sign monomial) slots, and
-it is zero when every slot is; no rational arithmetic runs per instance.
+three directions memoized as integer tower coordinates packed into one
+integer, a fixed number of bits per coordinate.  A residual is then one
+integer multiply-add per term into four packed accumulators, one per sign
+monomial.  The field width comes from a bound on every coordinate a residual
+of the table can reach, so an accumulator is zero exactly when all its
+coordinates are; no rational arithmetic runs per instance.
 """
 
 from __future__ import annotations
@@ -266,7 +269,7 @@ class _Memo(dict):
 
 class _Directions:
     """Interned primitive integer directions of one tower, and their
-    products over one fixed denominator ``B``.
+    products over one fixed denominator ``B``, packed into single integers.
 
     ``B`` is the square of the tower's product denominator: a product of two
     integer vectors has a denominator dividing that product denominator, and
@@ -292,17 +295,31 @@ class _Directions:
             self.prims.append(prim)
         return g, pid
 
-    def product(self, pids: tuple[int, ...], factor: int) -> tuple:
-        """The nonzero integer coordinates of B * factor * (product of the
-        directions), as pairs (coordinate << 2, value)."""
+    def product(self, pids: tuple[int, ...], factor: int, width: int) -> int:
+        """The integer coordinates of B * factor * (product of the
+        directions), coordinate k in the bits from ``k * width`` upward
+        (see :func:`_unpack`)."""
         num, den = reduce(mul, (FieldScalar(self.tower, self.prims[p], 1)
                                 for p in pids)).integer_coords()
-        scale = self.den_b // den * factor
-        return tuple((idx << 2, v * scale) for idx, v in enumerate(num) if v)
+        return (reduce(lambda acc, v: (acc << width) + v, reversed(num), 0)
+                * (self.den_b // den * factor))
+
+
+def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
+    """The ``count`` balanced base-``2**width`` digits of ``packed``, lowest
+    first: the coordinates ``c`` of ``packed = sum of c[k] << (k * width)``,
+    provided every ``|c[k]| < 2**(width - 1)``."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for _ in range(count):
+        digit = ((packed + half) & mask) - half
+        out.append(digit)
+        packed = (packed - digit) >> width
+    return tuple(out)
 
 
 class _Kernel:
-    """Exact residual evaluation in integer tower coordinates.
+    """Exact residual evaluation in packed integer tower coordinates.
 
     Compiling a table splits every value into sign monomials and every
     coefficient into ``n / L`` times an interned primitive integer direction,
@@ -311,12 +328,19 @@ class _Kernel:
     ``enumerate_fkeys`` order, then the starred ones.  Products of two and
     of three directions (only these depths are needed; the full closure
     would be infinite) are memoized when first met, as integer coordinates
-    over ``B`` (see :class:`_Directions`).
+    over ``B`` (see :class:`_Directions`) packed into one integer, ``width``
+    bits per coordinate.
 
     A pentagon-shaped residual (a product of two values minus a sum of
-    products of three) scaled by ``L**3 * B`` thus accumulates straight into
-    integer slots ``coordinate << 2 | sign monomial``, the left-hand terms
-    carrying the extra ``L`` in their products; it is zero when every slot is.
+    products of three) scaled by ``L**3 * B`` thus accumulates into four
+    integers, one per sign monomial, one multiply-add per term, the
+    left-hand terms carrying the extra ``L`` in their products.  Packing is
+    linear, so each accumulator is exactly the packed sum of its
+    coordinates.  ``width`` is fixed before any product is formed, from a
+    bound on every coordinate any such residual of the compiled values can
+    reach (see :meth:`_width`), so each coordinate is a balanced digit of
+    absolute value below ``2**(width - 1)``: an accumulator is zero exactly
+    when all its coordinates are, and decodes back to them.
     """
 
     def __init__(self, table: FSymbolTable,
@@ -342,27 +366,63 @@ class _Kernel:
         # the table's own entries by key; a plain label tuple finds the same
         # entry, because FKey is a tuple and hashes and compares like one
         self.by_key = dict(zip(keys, self.values))
-        self.width = 4 * self.tower.degree
-        # prod2[i][j] and prod3[i][j][k]: coordinates, filled on first use;
-        # the fill functions hold only dirs, so a kernel is freed by
+        # a plan check sums over the labels of one fusion product
+        width = self.width = self._width(
+            max(map(len, table.ring._fusion.values())))
+        # prod2[i][j] and prod3[i][j][k]: packed coordinates, filled on first
+        # use; the fill functions hold only dirs, so a kernel is freed by
         # reference counting rather than left to the cycle collector
         self._prod2 = _Memo(lambda i: _Memo(
-            lambda j: dirs.product((i, j), den_l)))
+            lambda j: dirs.product((i, j), den_l, width)))
         self._prod3 = _Memo(lambda i: _Memo(lambda j: _Memo(
-            lambda k: dirs.product((i, j, k), 1))))
+            lambda k: dirs.product((i, j, k), 1, width))))
+
+    def _width(self, summands: int) -> int:
+        """Bits per packed coordinate, from a bound on any coordinate of a
+        residual with at most ``summands`` products of three.
+
+        Let ``X`` hold, coordinate by coordinate, the largest absolute value
+        over the directions, and let ``|*|`` multiply such vectors with the
+        absolute values of the tower's product table (integers over its
+        denominator ``d``, so ``B = d**2``).  The ``k``-th coordinate of
+        ``B * x * y`` is then at most ``d * (X |*| X)[k]``, and that of
+        ``B * x * y * z`` at most ``((X |*| X) |*| X)[k]``.  A residual adds
+        at most ``T**2`` left-hand terms, each an ``n * n'`` times ``L``
+        times the former, and ``summands * T**3`` right-hand ones, each an
+        ``n * n' * n''`` times the latter, with ``T`` the most terms of a
+        value and ``|n| <= N``.
+        """
+        tower = self.tower
+        ptab = tower._ptab
+
+        def abs_mul(x, y):
+            out = [0] * tower.degree
+            for i, xi in enumerate(x):
+                for j, yj in enumerate(y):
+                    for k, c in ptab[i][j]:
+                        out[k] += xi * yj * abs(c)
+            return out
+
+        x = [max((abs(p[i]) for p in self.dirs.prims), default=0)
+             for i in range(tower.degree)]
+        xx = abs_mul(x, x)
+        xxx = abs_mul(xx, x)
+        n = max((abs(t[1]) for v in self.values for t in v), default=0)
+        tn = max(map(len, self.values)) * n
+        bound = max(tn ** 2 * self.den_l * tower._pden * c2
+                    + summands * tn ** 3 * c3 for c2, c3 in zip(xx, xxx))
+        return bound.bit_length() + 1
 
     def accumulate(self, f1, f2, triples) -> list[int]:
-        """Integer coordinates of ``f1 * f2 - sum of g1 * g2 * g3`` over
-        triples, scaled by ``L**3 * B``, at ``coordinate << 2 | monomial``."""
-        acc = [0] * self.width
+        """The packed coordinates of ``f1 * f2 - sum of g1 * g2 * g3`` over
+        triples, scaled by ``L**3 * B``, one integer per sign monomial; the
+        width covers as many triples as a fusion product has labels."""
+        acc = [0, 0, 0, 0]
         prod2 = self._prod2
         for m1, n1, d1 in f1:
             row = prod2[d1]
             for m2, n2, d2 in f2:
-                m = m1 ^ m2
-                n = n1 * n2
-                for slot, c in row[d2]:
-                    acc[slot | m] += n * c
+                acc[m1 ^ m2] += n1 * n2 * row[d2]
         prod3 = self._prod3
         for g1, g2, g3 in triples:
             for m1, n1, d1 in g1:
@@ -372,10 +432,7 @@ class _Kernel:
                     n12 = n1 * n2
                     m12 = m1 ^ m2
                     for m3, n3, d3 in g3:
-                        m = m12 ^ m3
-                        n = n12 * n3
-                        for slot, c in row[d3]:
-                            acc[slot | m] -= n * c
+                        acc[m12 ^ m3] -= n12 * n3 * row[d3]
         return acc
 
     def pentagon(self, inst_tuple) -> list[int]:
@@ -392,8 +449,10 @@ class _Kernel:
         """The residual an accumulator holds, as a sign polynomial."""
         scale = self.den_l ** 3 * self.dirs.den_b
         return ParamScalar(self.tower, {
-            (m & 1, m >> 1): FieldScalar(self.tower, tuple(acc[m::4]), scale)
-            for m in range(4) if any(acc[m::4])})
+            (m & 1, m >> 1): FieldScalar(
+                self.tower, _unpack(packed, self.width, self.tower.degree),
+                scale)
+            for m, packed in enumerate(acc) if packed})
 
     def residual_scalar(self, inst_tuple) -> ParamScalar:
         """The pentagon residual rebuilt from the integer accumulator."""

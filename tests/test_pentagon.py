@@ -3,7 +3,9 @@
 import multiprocessing
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product, starmap
+from operator import mul
 
 import pytest
 
@@ -18,9 +20,10 @@ from fusioncat.pentagon import (PentagonInstance, VerifyReport,
                                 enumerate_instances, find_failing_instance,
                                 key_instance_index, negate_entry, residual,
                                 starred_entries, verify_all)
-from fusioncat.pentagon import (TRIVIALITY_RULES, _Kernel,
+from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan, _Kernel,
                                 _field_matrix_inverse, _invert_param_matrix,
-                                _is_identical, _raw_instances, _sign_factors)
+                                _is_identical, _pentagon_plan, _raw_instances,
+                                _sign_factors, _unpack)
 from fusioncat.solver import solve
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
@@ -241,6 +244,87 @@ def test_field_valued_gauge(table, h3):
     mutated = negate_entry(gauged, key)
     touching = [instances[pos] for pos in index[key]]
     assert _assert_kernel_agrees(mutated, touching[:20]) > 0
+
+
+def test_packed_decoding_of_negative_coordinates(table, h3):
+    """A negated entry of a field-valued gauge leaves residuals with large
+    negative coordinates; the balanced decode still returns them exactly."""
+    rng = random.Random(9)
+    gauged = table.apply_gauge(_field_valued_gauge(h3, random.Random(77)))
+    instances, index = key_instance_index(h3)
+    key = rng.choice(sorted(index))
+    mutated = negate_entry(gauged, key)
+    kernel = _Kernel(mutated)
+    lowest = 0
+    for pos in rng.sample(index[key], 30):
+        tup = instances[pos]
+        want = residual(PentagonInstance(*tup[:9], e_sum=tup[9]), mutated)
+        assert kernel.residual_scalar(tup) == want
+        for packed in kernel.pentagon(tup):
+            lowest = min(lowest, *_unpack(packed, kernel.width, h3.tower.degree))
+    assert lowest < -2 ** 30
+
+
+def _plan_checks(plan):
+    """The value positions of each check of a plan, in sweep order."""
+    at = 0
+    for n in plan.counts:
+        yield plan.slots[at:at + 2 + 3 * n]
+        at += 2 + 3 * n
+
+
+def _assert_width_covers(kernel, scalars, slots):
+    """The accumulator of one check holds the reference residual's scaled
+    coordinates, and the kernel's field width exceeds even the sum of the
+    absolute values of the terms, coordinate by coordinate."""
+    tower = kernel.tower
+    width, half = kernel.width, 2 ** (kernel.width - 1)
+    scale_b = kernel.dirs.den_b
+    vals = [kernel.values[p] for p in slots]
+    acc = kernel.accumulate(vals[0], vals[1], zip(*[iter(vals[2:])] * 3))
+    sc = [scalars[p] for p in slots]
+    want = sc[0] * sc[1] - sum(
+        (sc[i] * sc[i + 1] * sc[i + 2] for i in range(2, len(sc), 3)),
+        start=ParamScalar.from_field(tower.zero()))
+    for m, packed in enumerate(acc):
+        coeff = want.terms.get((m & 1, m >> 1), tower.zero())
+        coords, den = (coeff * (kernel.den_l ** 3 * scale_b)).integer_coords()
+        assert den == 1
+        assert all(abs(c) < half for c in coords)
+        assert sum(c << (k * width) for k, c in enumerate(coords)) == packed
+    prims = [tower.from_coords(p) for p in kernel.dirs.prims]
+    total = [0] * tower.degree
+
+    def add(n, factors, scale):
+        num, den = reduce(mul, (prims[d] for d in factors)).integer_coords()
+        for k, c in enumerate(num):
+            total[k] += abs(n * c * scale // den)
+    for _, n1, d1 in vals[0]:
+        for _, n2, d2 in vals[1]:
+            add(n1 * n2, (d1, d2), kernel.den_l * scale_b)
+    for g1, g2, g3 in zip(*[iter(vals[2:])] * 3):
+        for (_, n1, d1), (_, n2, d2), (_, n3, d3) in product(g1, g2, g3):
+            add(n1 * n2 * n3, (d1, d2, d3), scale_b)
+    assert max(total) < half
+
+
+def test_field_width_bounds_every_coordinate(table, h3):
+    rng = random.Random(31)
+    pentagon_checks = list(_plan_checks(_pentagon_plan(h3)))
+    additional_checks = list(_plan_checks(_additional_plan(h3)))
+    keys = enumerate_fkeys(h3)
+    for tab in (table,
+                table.apply_gauge(_random_gauge(h3, random.Random(2024))),
+                table.apply_gauge(_field_valued_gauge(h3, random.Random(77)))):
+        kernel = _Kernel(tab)
+        scalars = [tab.entries[k] for k in keys]
+        for slots in rng.sample(pentagon_checks, 60):
+            _assert_width_covers(kernel, scalars, slots)
+        starred = starred_entries(tab)
+        kernel = _Kernel(tab, starred=starred)
+        scalars += [starred[k] for k in keys]
+        for slots in rng.sample(additional_checks, 60):
+            _assert_width_covers(kernel, scalars, slots)
 
 
 def test_invert_param_matrix_mixed_monomials(table, h3):

@@ -1,9 +1,11 @@
-"""Property tests of the field layer on every tower preset."""
+"""Property tests of the field layer on every tower preset, and of the
+data-set text format on gauged H3 tables."""
 
 import pytest
 
 from fusioncat.exactnum import (ParamScalar, field_sqrt, parse_scalar,
                                 render_scalar, tower_preset)
+from fusioncat.fsymbols import GaugeAssignment, build_h3_table, parse
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -59,3 +61,23 @@ def test_text_round_trip(name, data):
     monos = data.draw(st.sets(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])))
     x = ParamScalar(tower, {m: data.draw(elements(tower)) for m in monos})
     assert parse_scalar(render_scalar(x), tower) == x
+
+
+@pytest.fixture(scope="module")
+def h3_table():
+    return build_h3_table()
+
+
+@hypothesis.settings(max_examples=4, deadline=None, derandomize=True)
+@hypothesis.given(data=st.data())
+def test_gauged_table_text_round_trip(h3_table, data):
+    ring = h3_table.ring
+    vertices = [(a, b, c) for a in range(len(ring)) for b in range(len(ring))
+                for c in ring.fusion(a, b)]
+    values = data.draw(st.dictionaries(
+        st.sampled_from(vertices),
+        st.fractions(min_value=-20, max_value=20,
+                     max_denominator=20).filter(bool),
+        min_size=1))
+    gauged = h3_table.apply_gauge(GaugeAssignment(ring, values))
+    assert parse(gauged.serialize()) == gauged
