@@ -40,15 +40,6 @@ class InputError(Exception):
     pass
 
 
-def _precision_bits() -> int:
-    raw = os.environ.get("FUSIONCAT_PRECISION_BITS", "128")
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise InputError(f"FUSIONCAT_PRECISION_BITS={raw!r} is not an integer")
-    return max(bits, 53)
-
-
 def _load_table(args) -> FSymbolTable:
     if getattr(args, "dataset", None):
         try:
@@ -188,6 +179,10 @@ def cmd_render(args) -> int:
         raise InputError(f"--order wants 'sorted' or 'seeded:<n>', got {args.order!r}")
     if args.width is not None and args.width < 1:
         raise InputError(f"--width must be at least 1, got {args.width}")
+    if args.width is not None and args.width > len(keys):
+        # a wider image only adds padding columns
+        raise InputError(f"--width must be at most the number of entries, "
+                         f"{len(keys)}, got {args.width}")
     values = [table.entries[keys[i]].as_field() for i in order]
     width = args.width or math.isqrt(len(values) - 1) + 1
     height = (len(values) + width - 1) // width
@@ -206,13 +201,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_skein(args) -> int:
-    bits = _precision_bits()
     c1, c2, t, b, d = h3_constants()
     gamma_cup, gamma_tri = derive_square_pop(h3_params())
     for name, value in (("d", d), ("b", b), ("t", t), ("c1", c1)):
-        print(f"{name}={render_scalar(value)}  # ~{approx(value, bits):.12f}")
+        print(f"{name}={render_scalar(value)}  # ~{approx(value):.12f}")
     c2sq = c2 * c2
-    print(f"c2^2={render_scalar(c2sq)}  # c2 ~{approx(c2, bits):.12f}")
+    print(f"c2^2={render_scalar(c2sq)}  # c2 ~{approx(c2):.12f}")
     ok = gamma_cup == c1 and gamma_tri == c2
     print(f"square-pop rederivation: cup={render_scalar(gamma_cup)} "
           f"tri={render_scalar(gamma_tri)} match={'yes' if ok else 'NO'}")
@@ -222,6 +216,9 @@ def cmd_skein(args) -> int:
 def cmd_solve(args) -> int:
     ring = builtin_ring(args.builtin)
     if ring.name == "h3":
+        if args.out:
+            raise InputError("solve --builtin h3 does not take --out: "
+                             "propagation does not complete the table")
         state = seed(ring)
         state, report = propagate(state)
         print(report.render())

@@ -596,27 +596,29 @@ def gauss_jordan(rows: list[dict], columns) -> dict:
 class ParamScalar:
     """Polynomial in the sign parameters p1, p2 over a field tower.
 
-    Terms map monomials (i, j) -- meaning p1**i * p2**j with i, j in {0, 1}
-    -- to field coefficients.  Zero coefficients are never stored.  Values
-    are immutable (``terms`` is never assigned into after construction), so
-    one object may be shared by many table entries; equal values hash alike.
+    Terms map sign monomials, the 2-bit ints ``i | j << 1`` meaning
+    p1**i * p2**j (0 is 1, 1 is p1, 2 is p2, 3 is p1*p2; as p1**2 = p2**2 = 1,
+    a product of monomials is their XOR), to field coefficients.  Zero
+    coefficients are never stored.  Values are immutable (``terms`` is never
+    assigned into after construction), so one object may be shared by many
+    table entries; equal values hash alike.  :meth:`substitute` evaluates at
+    one of the four sign points and :meth:`from_points` is its inverse.
     """
 
     __slots__ = ("tower", "terms")
 
-    def __init__(self, tower: TowerSpec, terms: dict[tuple[int, int], FieldScalar]):
+    def __init__(self, tower: TowerSpec, terms: dict[int, FieldScalar]):
         self.tower = tower
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
     @classmethod
     def from_field(cls, x: FieldScalar) -> "ParamScalar":
-        return cls(x.tower, {(0, 0): x})
+        return cls(x.tower, {0: x})
 
     @classmethod
     def param(cls, tower: TowerSpec, which: int) -> "ParamScalar":
         """p1 for which = 1, p2 for which = 2."""
-        mono = (1, 0) if which == 1 else (0, 1)
-        return cls(tower, {mono: tower.one()})
+        return cls(tower, {which: tower.one()})
 
     def _coerce(self, other) -> "ParamScalar | None":
         if isinstance(other, ParamScalar):
@@ -664,10 +666,10 @@ class ParamScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict[tuple[int, int], FieldScalar] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in o.terms.items():
-                m = ((i1 + i2) & 1, (j1 + j2) & 1)  # p1^2 = p2^2 = 1
+        terms: dict[int, FieldScalar] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                m = m1 ^ m2
                 prod = c1 * c2
                 terms[m] = terms[m] + prod if m in terms else prod
         return ParamScalar(self.tower, terms)
@@ -688,23 +690,34 @@ class ParamScalar:
         return not self.terms
 
     def is_field(self) -> bool:
-        return all(m == (0, 0) for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def as_field(self) -> FieldScalar:
         if not self.terms:
             return self.tower.zero()
         if not self.is_field():
             raise ValueError("scalar still depends on p1/p2")
-        return self.terms[(0, 0)]
+        return self.terms[0]
 
     def substitute(self, p1: int, p2: int) -> FieldScalar:
         """Evaluate at p1, p2 in {-1, +1}."""
         if p1 not in (-1, 1) or p2 not in (-1, 1):
             raise ValueError("parameters must be +1 or -1")
         out = self.tower.zero()
-        for (i, j), c in self.terms.items():
-            out = out + c * (p1**i * p2**j)
+        for m, c in self.terms.items():
+            out = out + c * ((p1 if m & 1 else 1) * (p2 if m & 2 else 1))
         return out
+
+    @classmethod
+    def from_points(cls, tower: TowerSpec,
+                    values: dict[tuple[int, int], FieldScalar]) -> "ParamScalar":
+        """The value that substitutes to ``values[(p1, p2)]`` at each of the
+        four sign points: a monomial's coefficient is the mean of the values,
+        each times the monomial's sign at its point."""
+        a, b, c, d = (values[p] for p in ((1, 1), (-1, 1), (1, -1), (-1, -1)))
+        q = Fraction(1, 4)
+        return cls(tower, {0: (a + b + c + d) * q, 1: (a - b + c - d) * q,
+                           2: (a + b - c - d) * q, 3: (a - b - c + d) * q})
 
     def __repr__(self):
         return f"ParamScalar({self.tower.name}, {render_scalar(self)})"
@@ -753,7 +766,7 @@ def render_scalar(x: "FieldScalar | ParamScalar") -> str:
     upper = max(k - 1, 0)  # generators above the first one
     g0 = tower.gens[0] if k else None
     parts: list[tuple[int, str]] = []
-    for (i, j), coeff in x.terms.items():
+    for m, coeff in x.terms.items():
         by_mono: dict[int, list[Fraction]] = {}
         for idx, q in enumerate(coeff.coords):
             if q == 0:
@@ -764,11 +777,11 @@ def render_scalar(x: "FieldScalar | ParamScalar") -> str:
             slot[has_g0] = q
         for mono, (q0, q1) in by_mono.items():
             tokens = [tower.gens[lvl + 1] for lvl in range(upper) if mono >> lvl & 1]
-            if i:
+            if m & 1:
                 tokens.append("p1")
-            if j:
+            if m & 2:
                 tokens.append("p2")
-            order = mono | (i << upper) | (j << (upper + 1))
+            order = mono | m << upper
             ctext = _coeff_text(q0, q1, g0)
             if tokens:
                 if ctext == "1":
@@ -862,25 +875,30 @@ class _Parser:
         self.error("expected a number, token or '('")
 
     def number(self) -> ParamScalar:
+        q = Fraction(self.integer())
+        if self.pos < len(self.text) and self.text[self.pos] == "/":
+            self.pos += 1
+            start = self.pos
+            den = self.integer()
+            if den == 0:
+                self.pos = start
+                self.error("zero denominator")
+            q /= den
+        return ParamScalar.from_field(self.tower.from_rational(q))
+
+    def integer(self) -> int:
+        """The decimal literal at the current position; only a denominator
+        can be empty, since :meth:`factor` sees a digit before a number."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        num = int(self.text[start:self.pos])
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.error("expected a denominator")
-            den = int(self.text[dstart:self.pos])
-            if den == 0:
-                self.pos = dstart
-                self.error("zero denominator")
-            q = Fraction(num, den)
-        else:
-            q = Fraction(num)
-        return ParamScalar.from_field(self.tower.from_rational(q))
+        if start == self.pos:
+            self.error("expected a denominator")
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past int()'s digit limit, or non-ASCII digits
+            self.pos = start
+            self.error("integer literal too long or not decimal")
 
     def token(self) -> ParamScalar:
         start = self.pos

@@ -33,7 +33,6 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce, wraps
 from itertools import accumulate, islice, product
 from math import gcd, lcm
@@ -360,8 +359,8 @@ class _Kernel:
         for coords, (g, pid, den) in splits.items():
             splits[coords] = (g * (den_l // den), pid)
         keys = enumerate_fkeys(table.ring)
-        self.values = [tuple((i | j << 1,) + splits[c.integer_coords()]
-                             for (i, j), c in entries[k].terms.items())
+        self.values = [tuple((m,) + splits[c.integer_coords()]
+                             for m, c in entries[k].terms.items())
                        for entries in maps for k in keys]
         # the table's own entries by key; a plain label tuple finds the same
         # entry, because FKey is a tuple and hashes and compares like one
@@ -449,7 +448,7 @@ class _Kernel:
         """The residual an accumulator holds, as a sign polynomial."""
         scale = self.den_l ** 3 * self.dirs.den_b
         return ParamScalar(self.tower, {
-            (m & 1, m >> 1): FieldScalar(
+            m: FieldScalar(
                 self.tower, _unpack(packed, self.width, self.tower.degree),
                 scale)
             for m, packed in enumerate(acc) if packed})
@@ -614,7 +613,6 @@ def find_failing_instance(table: FSymbolTable,
 # table is no longer orthogonal and only the inverse keeps the identities
 # below gauge invariant.  A block whose sign monomials factor into row times
 # column signs, as all the data set's do, needs one field inversion, not four.
-_MONOS = ((0, 0), (1, 0), (0, 1), (1, 1))  # p1^i p2^j by the bits i | j << 1
 
 
 def _field_matrix_inverse(tower, m):
@@ -630,14 +628,14 @@ def _field_matrix_inverse(tower, m):
 
 
 def _sign_factors(m):
-    """Row and column sign monomials (2-bit ints ``i | j << 1``) such that
+    """Row and column sign monomials (as in :class:`ParamScalar`) such that
     every nonzero ``m[r][c]`` is ``row[r] * col[c]`` times a field value, or
     None when an entry has several terms or the monomials do not factor."""
     n = len(m)
     if any(len(v.terms) > 1 for row in m for v in row):
         return None
-    mono = {(r, c): i | j << 1 for r, row in enumerate(m)
-            for c, v in enumerate(row) for i, j in v.terms}
+    mono = {(r, c): s for r, row in enumerate(m)
+            for c, v in enumerate(row) for s in v.terms}
     # walk the graph of nonzero entries (column c is node n + c), XOR-ing signs
     sign = [None] * (2 * n)
     for start in (r for r in range(n) if sign[r] is None):
@@ -660,43 +658,28 @@ def _invert_param_matrix(tower, m):
 
     If :func:`_sign_factors` writes m as D_row C D_col (C over the field, the
     D diagonal sign monomials, each its own inverse), the inverse is
-    D_col C^-1 D_row: one field inversion.  Otherwise (an entry like 1 + p1,
-    or monomials that do not factor) the ring splits into four copies of the
-    field, one per substitution: p1^i p2^j gets (1/4) * sum over signs of
-    s1^i s2^j times the pointwise inverse, computed once per distinct matrix.
+    D_col C^-1 D_row: one field inversion, entry (i, j) taking the monomial
+    ``cols[i] ^ rows[j]``.  Otherwise (an entry like 1 + p1, or monomials
+    that do not factor) each distinct substituted matrix is inverted once and
+    every entry is read back from its four pointwise inverses by
+    :meth:`ParamScalar.from_points`.
     """
-    n = len(m)
     if (factors := _sign_factors(m)) is not None:
         rows, cols = factors
         inv = _field_matrix_inverse(tower, [
             [next(iter(v.terms.values()), tower.zero()) for v in row] for row in m])
-        return [[ParamScalar(tower, {_MONOS[cols[i] ^ rows[j]]: x})
+        return [[ParamScalar(tower, {cols[i] ^ rows[j]: x})
                  for j, x in enumerate(row)] for i, row in enumerate(inv)]
-    points: dict[tuple, list[tuple[int, int]]] = {}
+    inverses, at = {}, {}
     for s1 in (1, -1):
         for s2 in (1, -1):
             mm = tuple(tuple(v.substitute(s1, s2) for v in row) for row in m)
-            points.setdefault(mm, []).append((s1, s2))
-    # per distinct matrix: its inverse and, per monomial (i, j), the weight
-    # (1/4) * sum of s1^i s2^j over the sign points that share it
-    parts = []
-    for mm, signs in points.items():
-        weights = {(i, j): Fraction(sum(s1 ** i * s2 ** j for s1, s2 in signs), 4)
-                   for i in (0, 1) for j in (0, 1)}
-        parts.append((_field_matrix_inverse(tower, mm),
-                      [(mono, w) for mono, w in weights.items() if w]))
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            terms = {}
-            for inv, weights in parts:
-                for mono, w in weights:
-                    val = inv[r][c] * w
-                    terms[mono] = terms[mono] + val if mono in terms else val
-            row.append(ParamScalar(tower, terms))
-        out.append(row)
-    return out
+            if mm not in inverses:
+                inverses[mm] = _field_matrix_inverse(tower, mm)
+            at[s1, s2] = inverses[mm]
+    return [[ParamScalar.from_points(
+                tower, {point: inv[r][c] for point, inv in at.items()})
+             for c in range(len(m))] for r in range(len(m))]
 
 
 def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:

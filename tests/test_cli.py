@@ -153,6 +153,16 @@ def test_render_rejects_nonpositive_width(tmp_path):
         assert not out.exists()
 
 
+def test_render_rejects_width_beyond_entries(tmp_path):
+    out = tmp_path / "wide.ppm"
+    proc = run_cli("render", "--builtin", "h3", "--width", str(10 ** 12),
+                   "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: --width must be at most")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def _read_ppm(path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n")
@@ -230,13 +240,6 @@ def test_skein_report():
     assert "match=yes" in proc.stdout
 
 
-def test_skein_precision_env():
-    proc = run_cli("skein", env={"FUSIONCAT_PRECISION_BITS": "64"})
-    assert proc.returncode == 0
-    proc = run_cli("skein", env={"FUSIONCAT_PRECISION_BITS": "bogus"})
-    assert proc.returncode == 2
-
-
 def test_solve_fibonacci(tmp_path):
     out = tmp_path / "fib.fsym"
     proc = run_cli("solve", "--builtin", "fib", "--out", str(out))
@@ -253,6 +256,16 @@ def test_solve_h3_reports_seed_agreement():
     assert proc.returncode == 0
     assert "resolved fraction" in proc.stdout
     assert "exact=173" in proc.stdout
+
+
+def test_solve_h3_rejects_out(tmp_path):
+    out = tmp_path / "h3.fsym"
+    proc = run_cli("solve", "--builtin", "h3", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_rejects_jobs_below_one(capsys):

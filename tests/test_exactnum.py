@@ -308,6 +308,14 @@ def test_parse_errors(h3):
         parse_scalar("1+", h3)
 
 
+def test_parse_rejects_overlong_integer_literals(h3):
+    digits = "3" * 5000
+    for text, pos in ((f"1/{digits}", 2), (f"2*{digits}/7", 2)):
+        with pytest.raises(ScalarParseError, match="integer literal") as err:
+            parse_scalar(text, h3)
+        assert err.value.pos == pos
+
+
 def test_field_sqrt(h3):
     assert field_sqrt(named_constant("dRho")) == named_constant("bBigon")
     assert field_sqrt(h3.from_rational(4)) == 2

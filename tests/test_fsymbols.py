@@ -251,6 +251,14 @@ def test_parse_error_positions_survive_shared_values(table):
     assert err.value.line == 21
 
 
+def test_parse_reports_overlong_integer_literal_line(table):
+    good = table.serialize().splitlines()
+    text = "\n".join(good[:5] + ["F r r r r 1 1 = 1/" + "3" * 5000] + good[5:])
+    with pytest.raises(DatasetParseError, match="integer literal") as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (6, 2)
+
+
 def test_shared_values_are_safe_to_edit(table, h3):
     parsed = parse(table.serialize())
     holders = {}

@@ -287,7 +287,7 @@ def _assert_width_covers(kernel, scalars, slots):
         (sc[i] * sc[i + 1] * sc[i + 2] for i in range(2, len(sc), 3)),
         start=ParamScalar.from_field(tower.zero()))
     for m, packed in enumerate(acc):
-        coeff = want.terms.get((m & 1, m >> 1), tower.zero())
+        coeff = want.terms.get(m, tower.zero())
         coords, den = (coeff * (kernel.den_l ** 3 * scale_b)).integer_coords()
         assert den == 1
         assert all(abs(c) < half for c in coords)
@@ -363,7 +363,8 @@ def _reference_invert_param_matrix(tower, m):
             points.setdefault(mm, []).append((s1, s2))
     parts = []
     for mm, signs in points.items():
-        weights = {(i, j): Fraction(sum(s1 ** i * s2 ** j for s1, s2 in signs), 4)
+        weights = {i | j << 1:
+                   Fraction(sum(s1 ** i * s2 ** j for s1, s2 in signs), 4)
                    for i in (0, 1) for j in (0, 1)}
         parts.append((_field_matrix_inverse(tower, mm),
                       [(mono, w) for mono, w in weights.items() if w]))

@@ -58,9 +58,24 @@ def test_sqrt_of_a_square(name, data):
 @hypothesis.given(data=st.data())
 def test_text_round_trip(name, data):
     tower = tower_preset(name)
-    monos = data.draw(st.sets(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])))
+    monos = data.draw(st.sets(st.sampled_from(range(4))))
     x = ParamScalar(tower, {m: data.draw(elements(tower)) for m in monos})
     assert parse_scalar(render_scalar(x), tower) == x
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@settings
+@hypothesis.given(data=st.data())
+def test_sign_point_transform_round_trip(name, data):
+    tower = tower_preset(name)
+    monos = data.draw(st.sets(st.sampled_from(range(4))))
+    x = ParamScalar(tower, {m: data.draw(elements(tower)) for m in monos})
+    points = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    assert ParamScalar.from_points(
+        tower, {p: x.substitute(*p) for p in points}) == x
+    values = {p: data.draw(elements(tower)) for p in points}
+    y = ParamScalar.from_points(tower, values)
+    assert {p: y.substitute(*p) for p in points} == values
 
 
 @pytest.fixture(scope="module")
