@@ -809,8 +809,12 @@ MAX_NESTING_DEPTH = 100
 
 
 class ScalarParseError(ValueError):
+    """``message`` without a position; ``pos`` is the 0-based offset of the
+    fault in the parsed text."""
+
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} at column {pos + 1}")
+        self.message = message
         self.pos = pos
 
 

@@ -193,6 +193,8 @@ class FSymbolTable:
 
 
 class DatasetParseError(ValueError):
+    """``line`` and ``column`` are 1-based; column 0 means the whole line."""
+
     def __init__(self, message: str, line: int, column: int = 0):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
@@ -234,7 +236,7 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
             ring = builtin_ring("h3")
         parts = line.split("=", 1)
         if len(parts) != 2:
-            raise DatasetParseError("expected '='", ln, len(line))
+            raise DatasetParseError("expected '='", ln, len(raw.rstrip()))
         head = parts[0].split()
         if len(head) != 7 or head[0] != "F":
             raise DatasetParseError(
@@ -250,7 +252,9 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
             try:
                 value = values[expr] = parse_scalar(expr, ring.tower)
             except ScalarParseError as exc:
-                raise DatasetParseError(str(exc), ln, exc.pos) from exc
+                after = raw[raw.index("=") + 1:]
+                column = len(raw) - len(after.lstrip()) + exc.pos + 1
+                raise DatasetParseError(exc.message, ln, column) from exc
         if key in entries:
             raise DatasetParseError(f"duplicate key {ring.describe(key)}", ln)
         entries[key] = value

@@ -269,34 +269,18 @@ def _group_ring(name, objects, table, tower):
 
 
 def _build_h3() -> FusionRing:
-    # objects: 1, alpha, alpha*, rho, alpha rho, alpha* rho
+    # Object 3k + g is α^g ρ^k (g mod 3, k = 0 or 1).  Two relations give
+    # the whole table: αρ = ρα⁻¹ moves α^h past ρ^k as α^((-1)^k h), so
+    # α^g ρ^k · α^h ρ^l = α^(g + (-1)^k h) ρ^(k+l), and ρ² = 1 + ρ + αρ + α*ρ
+    # makes α^g ρ² the sum of α^g and the whole ρ family.
     objects = [("1", "1"), ("α", "a"), ("α*", "as"),
                ("ρ", "r"), ("αρ", "ar"), ("α*ρ", "asr")]
     I, A, AS, R, AR, ASR = range(6)
-    rho_set = (R, AR, ASR)
     prod: dict[tuple[int, int], tuple[int, ...]] = {}
-    # invertible part is the cyclic group {1, a, as}
-    z3 = {(I, I): I, (I, A): A, (I, AS): AS, (A, I): A, (A, A): AS,
-          (A, AS): I, (AS, I): AS, (AS, A): I, (AS, AS): A}
-    for (x, y), z in z3.items():
-        prod[(x, y)] = (z,)
-    # invertibles act on the rho family: a.r = ar, a.ar = asr, a.asr = r
-    left = {(I, R): R, (I, AR): AR, (I, ASR): ASR,
-            (A, R): AR, (A, AR): ASR, (A, ASR): R,
-            (AS, R): ASR, (AS, AR): R, (AS, ASR): AR}
-    # and on the right: r.a = asr, r.as = ar, ar.a = r, ...
-    right = {(R, I): R, (AR, I): AR, (ASR, I): ASR,
-             (R, A): ASR, (R, AS): AR,
-             (AR, A): R, (AR, AS): ASR,
-             (ASR, A): AR, (ASR, AS): R}
-    prod.update({k: (v,) for k, v in left.items()})
-    prod.update({k: (v,) for k, v in right.items()})
-    # rho-type times rho-type: one invertible plus the whole rho family
-    inv_part = {(R, R): I, (R, AR): AS, (R, ASR): A,
-                (AR, R): A, (AR, AR): I, (AR, ASR): AS,
-                (ASR, R): AS, (ASR, AR): A, (ASR, ASR): I}
-    for (x, y), g in inv_part.items():
-        prod[(x, y)] = tuple(sorted((g,) + rho_set))
+    for x, y in product(range(6), repeat=2):
+        (k, g), (l, h) = divmod(x, 3), divmod(y, 3)
+        e = (g - h if k else g + h) % 3
+        prod[(x, y)] = (e, R, AR, ASR) if k and l else (3 * (k + l) + e,)
     tower = tower_preset("h3")
     d = (tower.gen(0) + 3) / 2
     one = tower.one()

@@ -772,8 +772,27 @@ def check_additional(table: FSymbolTable) -> BlockReport:
     return report
 
 
+def _square_pop_relations(ring: FusionRing) -> dict[int, tuple]:
+    """The two square-pop relations of h3, for x in {ar, asr}:
+
+        sqrt(d) * F[r;rrr]_{e=r,f=x} * F[x;rrr]_{e=r,f=r}
+            = c1 * F[r;rrr]_{e=x,f=1} + c2 * F[r;rrr]_{e=x,f=r}
+
+    as x -> ((sqrt(d), first key, second key), ((c1, key), (c2, key))).
+    They hold in the data set's gauge only; other rings have none.
+    """
+    if ring.name != "h3":
+        return {}
+    r, unit = ring.label("r"), ring.unit
+    sqrt_d, c1, c2 = (named_constant(n) for n in ("bBigon", "c1", "c2"))
+    return {x: ((sqrt_d, FKey(r, r, r, r, r, x), FKey(r, r, r, x, r, r)),
+                ((c1, FKey(r, r, r, r, x, unit)), (c2, FKey(r, r, r, r, x, r))))
+            for x in (ring.label("ar"), ring.label("asr"))}
+
+
 def check_addtriv(table: FSymbolTable) -> BlockReport:
-    """The two square-pop identities tying the all-rho block to c1 and c2.
+    """The square-pop relations (:func:`_square_pop_relations`), with the
+    first factor read from the inverse of the all-rho block at (f=x, e=r).
 
     These hold in the data set's gauge only; re-gauging any of the touched
     vertices breaks them (which `test` callers exercise deliberately).
@@ -789,17 +808,10 @@ def check_addtriv(table: FSymbolTable) -> BlockReport:
     except ValueError as exc:
         report.failures.append(str(exc))
         return report
-    unit = ring.unit
-    c1 = ParamScalar.from_field(named_constant("c1"))
-    c2 = ParamScalar.from_field(named_constant("c2"))
-    sqrt_d = ParamScalar.from_field(named_constant("bBigon"))
-    for xr in (ring.label("ar"), ring.label("asr")):
-        # the first factor is the starred all-rho entry at (f=x, e=r)
-        lhs = starred[FKey(r, r, r, r, r, xr)] * g[FKey(r, r, r, xr, r, r)] * sqrt_d
-        rhs = c1 * g[FKey(r, r, r, r, xr, unit)] + c2 * g[FKey(r, r, r, r, xr, r)]
+    for x, ((sqrt_d, first, second), rhs) in _square_pop_relations(ring).items():
         report.checked += 1
-        if lhs != rhs:
-            report.failures.append(f"x={ring.token(xr)}")
+        if starred[first] * g[second] * sqrt_d != sum(g[k] * c for c, k in rhs):
+            report.failures.append(f"x={ring.token(x)}")
     return report
 
 

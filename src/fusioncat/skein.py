@@ -2,11 +2,18 @@
 
 Diagrams are half-edge structures with an explicit cyclic order at every
 (trivalent) vertex, so bigon and triangle faces can be found combinatorially;
-planarity of the inputs is assumed, not checked.  Evaluation repeatedly
-removes free circles (factor d), collapses bigon faces (factor b) and
-contracts triangle faces (factor t); a circle attached by a single edge
-(tadpole) kills the whole diagram, and a diagram whose smallest face is a
-square cannot be reduced by these moves alone.
+planarity of the inputs is assumed, not checked.  The fixed diagrams are
+written with named edges: each vertex lists the names of its three edges in
+cyclic order, the boundary lists the edges ending on it, and every name
+occurs exactly twice (see ``_diagram``).
+
+One generator, ``_moves``, yields every one-move reduction of a closed
+diagram: each bigon collapse (factor b), then each triangle contraction
+(factor t).  A circle attached by a single edge (tadpole) kills the whole
+diagram, and a diagram whose smallest face is a square cannot be reduced by
+these moves alone.  :func:`evaluate_closed` takes the first move each time
+and counts the free circles left at the end (factor d each);
+:func:`evaluate_all_orders` follows every move to test confluence.
 
 The four-point space is spanned by
 
@@ -178,16 +185,11 @@ class TrivalentGraph:
             self.twin.pop(h, None)
             self.vertex_of.pop(h, None)
 
-    def _drop_vertex(self, v: int) -> None:
-        del self.rot[v]
-
     def find_tadpole(self):
-        for h in sorted(self.twin):
-            if self.vertex_of.get(h) is not None and \
-                    self.vertex_of.get(h) == self.vertex_of.get(self.twin[h]) \
-                    and self.twin[h] != h:
-                return h
-        return None
+        """A half-edge of an edge from a vertex to itself, or None."""
+        return next((h for h in sorted(self.twin) if h in self.vertex_of
+                     and self.vertex_of[h] == self.vertex_of.get(self.twin[h])),
+                    None)
 
     def find_bigons(self) -> list[tuple[int, ...]]:
         return [f for f in self.faces()
@@ -195,14 +197,8 @@ class TrivalentGraph:
                 and self.vertex_of[f[0]] != self.vertex_of[f[1]]]
 
     def find_triangles(self) -> list[tuple[int, ...]]:
-        out = []
-        for f in self.faces():
-            if len(f) != 3:
-                continue
-            vs = {self.vertex_of[h] for h in f}
-            if len(vs) == 3:
-                out.append(f)
-        return out
+        return [f for f in self.faces()
+                if len(f) == 3 and len({self.vertex_of[h] for h in f}) == 3]
 
     def pop_bigon(self, face: tuple[int, ...]) -> None:
         """Collapse a two-sided face: remove its two vertices, splice the
@@ -214,8 +210,7 @@ class TrivalentGraph:
         b = next(h for h in self.rot[v] if h not in inner)
         ta, tb = self.twin[a], self.twin[b]
         self._drop_halves(inner | {a, b})
-        self._drop_vertex(u)
-        self._drop_vertex(v)
+        del self.rot[u], self.rot[v]
         if ta == b:  # the third edge ran between u and v: a circle appears
             self.circles += 1
             return
@@ -230,7 +225,7 @@ class TrivalentGraph:
         outer = [next(h for h in self.rot[v] if h not in inner) for v in vs]
         self._drop_halves(inner)
         for v in vs:
-            self._drop_vertex(v)
+            del self.rot[v]
         w = self._next_v
         self._next_v += 1
         # the legs wind around the contracted vertex opposite to the face walk
@@ -239,26 +234,43 @@ class TrivalentGraph:
             self.vertex_of[h] = w
 
 
-def evaluate_closed(graph: TrivalentGraph, params: SkeinParams) -> FieldScalar:
-    """Reduce a closed diagram to the empty one and return its value."""
+def _closed(graph: TrivalentGraph) -> TrivalentGraph:
     if graph.boundary:
         raise ValueError("diagram has boundary points")
-    g = graph.copy()
+    return graph
+
+
+def _moves(g: TrivalentGraph, params: SkeinParams):
+    """Every one-move reduction of a closed diagram with a vertex, as
+    (factor, reduced copy): each bigon pop, then each triangle contraction.
+    A tadpole yields only (0, empty diagram); a diagram with neither face
+    raises once the moves run out."""
+    if g.find_tadpole() is not None:
+        yield params.tower.zero(), TrivalentGraph()
+        return
+    moved = False
+    for face in g.find_bigons():
+        h = g.copy()
+        h.pop_bigon(face)
+        moved = True
+        yield params.b, h
+    for face in g.find_triangles():
+        h = g.copy()
+        h.contract_triangle(face)
+        moved = True
+        yield params.t, h
+    if not moved:
+        raise SkeinReductionError("requires square-pop")
+
+
+def evaluate_closed(graph: TrivalentGraph, params: SkeinParams) -> FieldScalar:
+    """Reduce a closed diagram to the empty one, taking the first move each
+    time, and return its value."""
+    g = _closed(graph)
     value = params.tower.one()
     while g.rot:
-        if g.find_tadpole() is not None:
-            return params.tower.zero()
-        bigons = g.find_bigons()
-        if bigons:
-            g.pop_bigon(bigons[0])
-            value = value * params.b
-            continue
-        triangles = g.find_triangles()
-        if triangles:
-            g.contract_triangle(triangles[0])
-            value = value * params.t
-            continue
-        raise SkeinReductionError("requires square-pop")
+        factor, g = next(_moves(g, params))
+        value = value * factor
     return value * params.d ** g.circles
 
 
@@ -270,132 +282,83 @@ def evaluate_all_orders(graph: TrivalentGraph, params: SkeinParams) -> set[Field
         if not g.rot:
             results.add(acc * params.d ** g.circles)
             return
-        if g.find_tadpole() is not None:
-            results.add(params.tower.zero())
-            return
-        moves = 0
-        for face in g.find_bigons():
-            h = g.copy()
-            h.pop_bigon(face)
-            go(h, acc * params.b)
-            moves += 1
-        for face in g.find_triangles():
-            h = g.copy()
-            h.contract_triangle(face)
-            go(h, acc * params.t)
-            moves += 1
-        if not moves:
-            raise SkeinReductionError("requires square-pop")
+        for factor, h in _moves(g, params):
+            go(h, acc * factor)
 
-    go(graph.copy(), params.tower.one())
+    go(_closed(graph), params.tower.one())
     return results
 
 
 # ---------------------------------------------------------------------------
 # fixed diagrams
 
-def circle_graph() -> TrivalentGraph:
+def _diagram(vertices=(), boundary=(), circles: int = 0) -> TrivalentGraph:
+    """A diagram from named edges: each vertex lists its edges in cyclic
+    order, ``boundary`` the edges ending on the boundary in boundary order,
+    and every edge name occurs exactly twice."""
     g = TrivalentGraph()
-    g.circles = 1
+    g.circles = circles
+    ends: dict[str, list[int]] = {}
+
+    def end(name: str) -> int:
+        h = g.half()
+        ends.setdefault(name, []).append(h)
+        return h
+
+    g.boundary = [end(name) for name in boundary]
+    for names in vertices:
+        g.vertex(*(end(name) for name in names))
+    for name, halves in ends.items():
+        if len(halves) != 2:
+            raise ValueError(f"edge {name!r} occurs {len(halves)} times, not twice")
+        g.edge(*halves)
     return g.validate()
+
+
+def circle_graph() -> TrivalentGraph:
+    return _diagram(circles=1)
 
 
 def theta_graph() -> TrivalentGraph:
-    """Two vertices joined by three parallel edges."""
-    g = TrivalentGraph()
-    u0, v0 = g.strand()
-    u1, v1 = g.strand()
-    u2, v2 = g.strand()
-    g.vertex(u0, u1, u2)
-    g.vertex(v0, v2, v1)  # mirror order on the far side keeps it planar
-    return g.validate()
+    """Two vertices joined by three parallel edges, in mirror order on the
+    far side so the embedding is planar."""
+    return _diagram([("x", "y", "z"), ("x", "z", "y")])
 
 
 def tetrahedron_graph() -> TrivalentGraph:
-    """The 1-skeleton of the tetrahedron (any planar embedding)."""
-    g = TrivalentGraph()
-    halves = {}
-    verts = {}
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for i, j in pairs:
-        a, b = g.strand()
-        halves[(i, j)] = a
-        halves[(j, i)] = b
-    # outer triangle 1-2-3 with 0 in the middle; CCW rotations
-    verts[0] = g.vertex(halves[(0, 1)], halves[(0, 2)], halves[(0, 3)])
-    verts[1] = g.vertex(halves[(1, 0)], halves[(1, 3)], halves[(1, 2)])
-    verts[2] = g.vertex(halves[(2, 0)], halves[(2, 1)], halves[(2, 3)])
-    verts[3] = g.vertex(halves[(3, 0)], halves[(3, 2)], halves[(3, 1)])
-    return g.validate()
-
-
-def _cup(g: TrivalentGraph) -> tuple[int, int]:
-    return g.strand()
+    """The 1-skeleton of the tetrahedron: outer triangle 1-2-3 around
+    vertex 0, counterclockwise rotations; edge ij joins vertices i and j."""
+    return _diagram([("01", "02", "03"), ("01", "13", "12"),
+                     ("02", "12", "23"), ("03", "23", "13")])
 
 
 def basis_w1() -> TrivalentGraph:
     """Nested cups: boundary pairs (1,4) and (2,3)."""
-    g = TrivalentGraph()
-    a1, a4 = _cup(g)
-    b2, b3 = _cup(g)
-    g.boundary = [a1, b2, b3, a4]
-    return g.validate()
+    return _diagram(boundary=("a", "b", "b", "a"))
 
 
 def basis_w2() -> TrivalentGraph:
     """Side-by-side cups: boundary pairs (1,2) and (3,4)."""
-    g = TrivalentGraph()
-    a1, a2 = _cup(g)
-    b3, b4 = _cup(g)
-    g.boundary = [a1, a2, b3, b4]
-    return g.validate()
+    return _diagram(boundary=("a", "a", "b", "b"))
 
 
 def basis_w3() -> TrivalentGraph:
-    """Side-by-side cups joined by a bridge (the "H")."""
-    g = TrivalentGraph()
-    e1a, e1b = g.half(), g.half()   # boundary 1 -> left vertex
-    e2a, e2b = g.half(), g.half()   # boundary 2 -> left vertex
-    e3a, e3b = g.half(), g.half()   # boundary 3 -> right vertex
-    e4a, e4b = g.half(), g.half()   # boundary 4 -> right vertex
-    m1, m2 = g.half(), g.half()     # bridge
-    g.edge(e1a, e1b); g.edge(e2a, e2b); g.edge(e3a, e3b); g.edge(e4a, e4b)
-    g.edge(m1, m2)
-    g.vertex(e1b, e2b, m1)
-    g.vertex(m2, e3b, e4b)
-    g.boundary = [e1a, e2a, e3a, e4a]
-    return g.validate()
+    """Side-by-side cups joined by a bridge m (the "H")."""
+    return _diagram([("1", "2", "m"), ("m", "3", "4")],
+                    boundary=("1", "2", "3", "4"))
 
 
 def basis_w4() -> TrivalentGraph:
-    """Nested cups joined by a radial bridge."""
-    g = TrivalentGraph()
-    e1a, e1b = g.half(), g.half()   # boundary 1 -> outer vertex
-    e4a, e4b = g.half(), g.half()   # boundary 4 -> outer vertex
-    e2a, e2b = g.half(), g.half()   # boundary 2 -> inner vertex
-    e3a, e3b = g.half(), g.half()   # boundary 3 -> inner vertex
-    m1, m2 = g.half(), g.half()     # bridge outer -> inner
-    g.edge(e1a, e1b); g.edge(e2a, e2b); g.edge(e3a, e3b); g.edge(e4a, e4b)
-    g.edge(m1, m2)
-    g.vertex(e1b, m1, e4b)
-    g.vertex(e2b, e3b, m2)
-    g.boundary = [e1a, e2a, e3a, e4a]
-    return g.validate()
+    """Nested cups joined by a radial bridge m."""
+    return _diagram([("1", "m", "4"), ("2", "3", "m")],
+                    boundary=("1", "2", "3", "4"))
 
 
 def square_graph() -> TrivalentGraph:
-    """The four-valent square: a 4-cycle with one leg per corner."""
-    g = TrivalentGraph()
-    legs = [(g.half(), g.half()) for _ in range(4)]
-    ring = [(g.half(), g.half()) for _ in range(4)]
-    for a, b in legs + ring:
-        g.edge(a, b)
-    for i in range(4):
-        prev_half = ring[(i - 1) % 4][1]
-        next_half = ring[i][0]
-        g.vertex(legs[i][1], next_half, prev_half)
-    g.boundary = [legs[i][0] for i in range(4)]
-    return g.validate()
+    """The four-valent square: a 4-cycle a-b-c-d with one leg per corner."""
+    return _diagram([("1", "a", "d"), ("2", "b", "a"),
+                     ("3", "c", "b"), ("4", "d", "c")],
+                    boundary=("1", "2", "3", "4"))
 
 
 def c4_basis() -> tuple[TrivalentGraph, TrivalentGraph, TrivalentGraph, TrivalentGraph]:

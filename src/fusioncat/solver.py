@@ -42,7 +42,8 @@ from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant, render_scalar)
 from .fsymbols import FSymbolTable
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
-from .pentagon import _pentagon_plan, _per_ring, verify_all
+from .pentagon import (_pentagon_plan, _per_ring, _square_pop_relations,
+                       verify_all)
 
 Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> coeff
 
@@ -428,23 +429,10 @@ def _is_one_dim(ring: FusionRing, key: FKey) -> bool:
 
 
 def _registered_constraints(ring: FusionRing):
-    """Extra per-ring constraints: for h3 the two square-pop relations
-    sqrt(d) * F[r;rrr]_{e=r,f=x} * F[x;rrr]_{e=r,f=r}
-        = c1 * F[r;rrr]_{e=x,f=1} + c2 * F[r;rrr]_{e=x,f=r}
-    for x in {ar, asr}; these are gauge-fixed to the data-set gauge."""
-    if ring.name != "h3":
-        return []
-    r = ring.label("r")
-    unit = ring.unit
-    sqrt_d = named_constant("bBigon")
-    c1 = named_constant("c1")
-    c2 = named_constant("c2")
-    out = []
-    for x in (ring.label("ar"), ring.label("asr")):
-        lhs = [sqrt_d, FKey(r, r, r, r, r, x), FKey(r, r, r, x, r, r)]
-        rhs = [[c1, FKey(r, r, r, r, x, unit)], [c2, FKey(r, r, r, r, x, r)]]
-        out.append((lhs, rhs))
-    return out
+    """Extra per-ring constraints as (left-hand side, right-hand terms), each
+    a product of field constants and keys: for h3 the two square-pop
+    relations, gauge-fixed to the data-set gauge."""
+    return list(_square_pop_relations(ring).values())
 
 
 def propagate(partial: PartialTable, max_rounds: int | None = None,

@@ -12,6 +12,11 @@ import fusioncat
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
+def test_demos_are_found():
+    # an empty parameter list would turn every smoke test below into a skip
+    assert DEMOS
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
     # run in a scratch directory (demo 06 writes its pixmap to the cwd)

@@ -238,7 +238,8 @@ def test_parse_error_positions_survive_shared_values(table):
                                  f"F r r r r r r = {bad}"] + good[5:])
     with pytest.raises(DatasetParseError, match="zero denominator") as err:
         parse(text)
-    assert (err.value.line, err.value.column) == (6, direct.value.pos)
+    assert (err.value.line, err.value.column) == (
+        6, len("F r r r r 1 1 = ") + direct.value.pos + 1)
     # a duplicate after a value shared with earlier lines is still a duplicate
     expr = good[-1].split("=", 1)[1].strip()
     assert sum(line.endswith("= " + expr) for line in good) > 1
@@ -251,12 +252,20 @@ def test_parse_error_positions_survive_shared_values(table):
     assert err.value.line == 21
 
 
+def test_parse_errors_name_one_column_of_the_line():
+    for entry, message in (("F r r r r 1 1 = 1/0", "column 19: zero denominator"),
+                           ("   F r r r r 1 1", "column 16: expected '='")):
+        with pytest.raises(DatasetParseError) as err:
+            parse(f"h3fsym v1\n# ring: h3\n{entry}\n")
+        assert str(err.value) == f"line 3, {message}"
+
+
 def test_parse_reports_overlong_integer_literal_line(table):
     good = table.serialize().splitlines()
     text = "\n".join(good[:5] + ["F r r r r 1 1 = 1/" + "3" * 5000] + good[5:])
     with pytest.raises(DatasetParseError, match="integer literal") as err:
         parse(text)
-    assert (err.value.line, err.value.column) == (6, 2)
+    assert (err.value.line, err.value.column) == (6, 19)
 
 
 def test_shared_values_are_safe_to_edit(table, h3):

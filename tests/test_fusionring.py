@@ -26,6 +26,9 @@ def test_h3_fusion_facts(h3):
     assert n(h3, "r", "r", "a") == 0
     assert n(h3, "r", "ar", "as") == 1
     assert n(h3, "r", "asr", "a") == 1
+    # the orientation of the relation alpha rho = rho alpha^-1
+    assert n(h3, "a", "r", "ar") == 1
+    assert n(h3, "r", "a", "asr") == 1
     assert n(h3, "a", "a", "1") == 0
     assert n(h3, "a", "a", "as") == 1
     assert h3.dual("a") == h3.label("as")

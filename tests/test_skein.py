@@ -8,7 +8,7 @@ import pytest
 from fusioncat.exactnum import named_constant, tower_preset
 from fusioncat.fsymbols import build_h3_table
 from fusioncat.skein import (SkeinParams, SkeinReductionError, TrivalentGraph,
-                             basis_w1, basis_w2, basis_w3, basis_w4, c4_basis,
+                             _diagram, basis_w1, basis_w2, basis_w3, basis_w4, c4_basis,
                              circle_graph, derive_square_pop,
                              evaluate_all_orders, evaluate_closed, glue,
                              gram_matrix, h3_constants, h3_params, pair,
@@ -140,6 +140,21 @@ def test_irreducible_graph_raises():
 def test_boundary_graphs_are_not_closed():
     with pytest.raises(ValueError):
         evaluate_closed(basis_w1(), GENERIC)
+
+
+def test_all_orders_shares_the_closed_and_square_pop_checks():
+    for evaluate in (evaluate_closed, evaluate_all_orders):
+        with pytest.raises(ValueError, match="diagram has boundary points"):
+            evaluate(basis_w3(), GENERIC)
+    with pytest.raises(SkeinReductionError, match="requires square-pop"):
+        evaluate_all_orders(_cube(), GENERIC)
+
+
+def test_diagram_edges_occur_twice():
+    with pytest.raises(ValueError, match="edge 'w' occurs 1 times"):
+        _diagram([("x", "y", "z"), ("x", "z", "w")], boundary=("y",))
+    with pytest.raises(ValueError, match="edge 'x' occurs 3 times"):
+        _diagram([("x", "y", "z"), ("x", "z", "x")], boundary=("y",))
 
 
 def test_confluence_on_corpus():
