@@ -15,7 +15,9 @@ module, byte for byte what ``serialize`` writes; ``build_h3_table`` parses it.
 The data set holds few distinct values (1431 entries, 51 distinct expression
 texts), so ``parse``, ``serialize`` and ``substitute_params`` work out each
 distinct value once per call, in a local dict, and let the entries share the
-resulting immutable scalars.
+resulting immutable scalars.  The checks build on that sharing:
+``check_orthogonality`` and the starred-block inversion work once per
+distinct block matrix, and the exact kernel once per distinct value object.
 """
 
 from __future__ import annotations
@@ -152,17 +154,22 @@ class FSymbolTable:
 
         Only F Ft is formed.  The sign polynomials form a commutative ring,
         so F Ft = I gives det F * det Ft = 1: F is invertible with inverse
-        Ft, and Ft F = I follows.
+        Ft, and Ft F = I follows.  Each distinct block matrix is checked
+        once per call.
         """
         report = BlockReport("orthogonality")
         one = self.ring.tower.one()
         zero = ParamScalar.from_field(self.ring.tower.zero())
+        verdicts: dict[tuple, bool] = {}
         for blk in f_blocks(self.ring):
-            m = self.f_matrix(blk.a, blk.b, blk.c, blk.u)
-            d = blk.dim
-            ok = all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
-                     == (one if i == j else 0)
-                     for i in range(d) for j in range(i, d))
+            m = tuple(map(tuple, self.f_matrix(blk.a, blk.b, blk.c, blk.u)))
+            ok = verdicts.get(m)
+            if ok is None:
+                d = blk.dim
+                ok = verdicts[m] = all(
+                    sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
+                    == (one if i == j else 0)
+                    for i in range(d) for j in range(i, d))
             report.checked += 1
             if not ok:
                 t = self.ring.token
@@ -241,11 +248,14 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
         if len(head) != 7 or head[0] != "F":
             raise DatasetParseError(
                 "expected 'F <u> <a> <b> <c> <e> <f> = <expr>'", ln)
-        try:
-            u, a, b, c, e, f = head[1:]
-            key = ring.key(a, b, c, u, e, f)
-        except ValueError as exc:
-            raise DatasetParseError(str(exc), ln) from exc
+        u, a, b, c, e, f = head[1:]
+        key = FKey._make(map(ring._by_token.get, (a, b, c, u, e, f)))
+        if key not in ring.admissible_keys:
+            # display names, or the error for an unknown or inadmissible key
+            try:
+                key = ring.key(a, b, c, u, e, f)
+            except ValueError as exc:
+                raise DatasetParseError(str(exc), ln) from exc
         expr = parts[1].strip()
         value = values.get(expr)
         if value is None:

@@ -320,15 +320,17 @@ def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
 class _Kernel:
     """Exact residual evaluation in packed integer tower coordinates.
 
-    Compiling a table splits every value into sign monomials and every
-    coefficient into ``n / L`` times an interned primitive integer direction,
-    one denominator ``L`` serving the table and its starred entries, if
-    given.  ``values`` lists them by plan position: the table's entries in
-    ``enumerate_fkeys`` order, then the starred ones.  Products of two and
-    of three directions (only these depths are needed; the full closure
-    would be infinite) are memoized when first met, as integer coordinates
-    over ``B`` (see :class:`_Directions`) packed into one integer, ``width``
-    bits per coordinate.
+    Compiling a table splits each distinct value object once (entries of
+    equal value often share one object: the data set's 1431 entries hold 51)
+    into sign monomials and every coefficient into ``n / L`` times an
+    interned primitive integer direction, one denominator ``L`` serving the
+    table and its starred entries, if given.  ``values`` lists the compiled
+    values by plan position, entries of one object sharing one tuple: the
+    table's entries in ``enumerate_fkeys`` order, then the starred ones.
+    Products of two and of three directions (only these depths are needed;
+    the full closure would be infinite) are memoized when first met, as
+    integer coordinates over ``B`` (see :class:`_Directions`) packed into
+    one integer, ``width`` bits per coordinate.
 
     A pentagon-shaped residual (a product of two values minus a sum of
     products of three) scaled by ``L**3 * B`` thus accumulates into four
@@ -347,27 +349,31 @@ class _Kernel:
         self.tower = table.ring.tower
         dirs = self.dirs = _Directions(self.tower)
         maps = [table.entries] + ([starred] if starred is not None else [])
+        # the distinct value objects in first-occurrence order; the entries
+        # keep them alive, so their ids stay unique for this call
+        distinct = {id(v): v for entries in maps for v in entries.values()}
         # distinct coordinates -> (g, pid, den), then -> (g * L / den, pid)
         splits: dict[tuple, tuple] = {}
-        for entries in maps:
-            for v in entries.values():
-                for coeff in v.terms.values():
-                    num, den = coords = coeff.integer_coords()
-                    if coords not in splits:
-                        splits[coords] = dirs.intern(num) + (den,)
+        for v in distinct.values():
+            for coeff in v.terms.values():
+                num, den = coords = coeff.integer_coords()
+                if coords not in splits:
+                    splits[coords] = dirs.intern(num) + (den,)
         den_l = self.den_l = lcm(*(den for _, _, den in splits.values()))
         for coords, (g, pid, den) in splits.items():
             splits[coords] = (g * (den_l // den), pid)
+        compiled = {i: tuple((m,) + splits[c.integer_coords()]
+                             for m, c in v.terms.items())
+                    for i, v in distinct.items()}
         keys = enumerate_fkeys(table.ring)
-        self.values = [tuple((m,) + splits[c.integer_coords()]
-                             for m, c in entries[k].terms.items())
+        self.values = [compiled[id(entries[k])]
                        for entries in maps for k in keys]
         # the table's own entries by key; a plain label tuple finds the same
         # entry, because FKey is a tuple and hashes and compares like one
         self.by_key = dict(zip(keys, self.values))
         # a plan check sums over the labels of one fusion product
         width = self.width = self._width(
-            max(map(len, table.ring._fusion.values())))
+            max(map(len, table.ring._fusion.values())), compiled.values())
         # prod2[i][j] and prod3[i][j][k]: packed coordinates, filled on first
         # use; the fill functions hold only dirs, so a kernel is freed by
         # reference counting rather than left to the cycle collector
@@ -376,9 +382,10 @@ class _Kernel:
         self._prod3 = _Memo(lambda i: _Memo(lambda j: _Memo(
             lambda k: dirs.product((i, j, k), 1, width))))
 
-    def _width(self, summands: int) -> int:
+    def _width(self, summands: int, values) -> int:
         """Bits per packed coordinate, from a bound on any coordinate of a
-        residual with at most ``summands`` products of three.
+        residual with at most ``summands`` products of three of ``values``
+        (each compiled value once is enough).
 
         Let ``X`` hold, coordinate by coordinate, the largest absolute value
         over the directions, and let ``|*|`` multiply such vectors with the
@@ -406,8 +413,8 @@ class _Kernel:
              for i in range(tower.degree)]
         xx = abs_mul(x, x)
         xxx = abs_mul(xx, x)
-        n = max((abs(t[1]) for v in self.values for t in v), default=0)
-        tn = max(map(len, self.values)) * n
+        n = max((abs(t[1]) for v in values for t in v), default=0)
+        tn = max(map(len, values)) * n
         bound = max(tn ** 2 * self.den_l * tower._pden * c2
                     + summands * tn ** 3 * c3 for c2, c3 in zip(xx, xxx))
         return bound.bit_length() + 1
@@ -578,7 +585,13 @@ def count_instances(ring: FusionRing) -> dict[str, int]:
 # mutation helpers
 
 def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
-    return table.map_entries(lambda k, v: -v if k == key else v)
+    """A copy of the table with one entry negated; every other entry is the
+    same object as in ``table``."""
+    if key not in table.entries:
+        raise KeyError(f"inadmissible key {key}")
+    entries = dict(table.entries)
+    entries[key] = -entries[key]
+    return FSymbolTable(table.ring, entries)
 
 
 @_per_ring
@@ -687,23 +700,30 @@ def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
 
     Addressed by the same keys as the table itself, so the starred factor
     (F_u^{abc})*_{f e} is ``starred[key(a, b, c, u, e, f)]``.  A singular
-    block raises ValueError naming it.
+    block raises ValueError naming it.  Each distinct block matrix is
+    inverted once per call, and blocks of equal matrices share the entries
+    of its inverse.
     """
     out: dict[FKey, ParamScalar] = {}
+    inverses: dict[tuple, list] = {}
     for blk in f_blocks(table.ring):
-        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u))
+        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u, inverses))
     return out
 
 
-def _starred_block(table: FSymbolTable, a: int, b: int, c: int,
-                   u: int) -> dict[FKey, ParamScalar]:
-    """The starred entries of one block, keyed as in :func:`starred_entries`."""
+def _starred_block(table: FSymbolTable, a: int, b: int, c: int, u: int,
+                   inverses: dict[tuple, list]) -> dict[FKey, ParamScalar]:
+    """The starred entries of one block, keyed as in :func:`starred_entries`;
+    ``inverses`` maps the block matrices inverted so far to their inverses."""
     ring = table.ring
-    try:
-        inv = _invert_param_matrix(ring.tower, table.f_matrix(a, b, c, u))
-    except ValueError as exc:
-        t = ring.token
-        raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None
+    m = tuple(map(tuple, table.f_matrix(a, b, c, u)))
+    inv = inverses.get(m)
+    if inv is None:
+        try:
+            inv = inverses[m] = _invert_param_matrix(ring.tower, m)
+        except ValueError as exc:
+            t = ring.token
+            raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None
     return {FKey(a, b, c, u, e, f): inv[fi][ei]
             for ei, e in enumerate(ring.e_labels(a, b, c, u))
             for fi, f in enumerate(ring.f_labels(a, b, c, u))}
@@ -804,7 +824,7 @@ def check_addtriv(table: FSymbolTable) -> BlockReport:
     g = table.entries
     r = ring.label("r")
     try:
-        starred = _starred_block(table, r, r, r, r)
+        starred = _starred_block(table, r, r, r, r, {})
     except ValueError as exc:
         report.failures.append(str(exc))
         return report

@@ -288,3 +288,46 @@ def test_shared_values_are_safe_to_edit(table, h3):
     for p1, p2 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
         assert (parsed.substitute_params(p1, p2)
                 == table.substitute_params(p1, p2))
+
+
+def test_parse_key_errors_are_pinned(table):
+    for entry, message in (
+            ("F r q r r 1 1 = 1", "unknown object 'q'"),
+            ("F 1 1 1 1 1 a = 1", "inadmissible key F[1; 1 1 1; e=1 f=a]")):
+        with pytest.raises(DatasetParseError) as err:
+            parse(f"h3fsym v1\n# ring: h3\n{entry}\n")
+        assert str(err.value) == f"line 3, column 0: {message}"
+    # display names still name objects
+    text = table.serialize()
+    assert "\nF r 1 1 r r 1 = 1\n" in text
+    assert parse(text.replace("\nF r 1 1 r r 1 = 1\n",
+                              "\nF ρ 1 1 ρ ρ 1 = 1\n")) == table
+
+
+def _reference_orthogonality_failures(tab):
+    ring, t = tab.ring, tab.ring.token
+    zero = ParamScalar.from_field(ring.tower.zero())
+    out = []
+    for blk in f_blocks(ring):
+        m = tab.f_matrix(blk.a, blk.b, blk.c, blk.u)
+        d = blk.dim
+        if any(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
+               != (1 if i == j else 0) for i in range(d) for j in range(d)):
+            out.append(f"block ({t(blk.a)},{t(blk.b)},{t(blk.c)};{t(blk.u)})")
+    return out
+
+
+def test_orthogonality_names_every_failing_block_once_per_block(table, h3):
+    gauge = GaugeAssignment(h3)
+    rng = random.Random(11)
+    for a in range(len(h3)):
+        for b in range(len(h3)):
+            for c in h3.fusion(a, b):
+                gauge.set(a, b, c, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    twos = table.map_entries(lambda k, v: v * 2)
+    for tab in (table.apply_gauge(gauge), twos):
+        report = tab.check_orthogonality()
+        assert report.checked == 594
+        assert report.failures == _reference_orthogonality_failures(tab)
+        assert report.failures
+    assert len(twos.check_orthogonality().failures) == 594

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, product, starmap
+from math import lcm
 from operator import mul
 
 import pytest
@@ -20,7 +21,8 @@ from fusioncat.pentagon import (PentagonInstance, VerifyReport,
                                 enumerate_instances, find_failing_instance,
                                 key_instance_index, negate_entry, residual,
                                 starred_entries, verify_all)
-from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan, _Kernel,
+from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan,
+                                _Directions, _Kernel,
                                 _field_matrix_inverse, _invert_param_matrix,
                                 _is_identical, _pentagon_plan, _raw_instances,
                                 _sign_factors, _unpack)
@@ -724,3 +726,135 @@ def test_galois_conjugates_pass_every_check(table, h3):
         assert check_additional(conjugate).passed
         assert find_failing_instance(negate_entry(conjugate, key), key) is not None
     assert not verify_all(_galois_conjugate(table, 1)).passed
+
+
+def _reference_compile(table, starred=None):
+    """The per-entry compile: every entry of every map split on its own, in
+    entry order; returns (values, den_l, prims, width)."""
+    dirs = _Directions(table.ring.tower)
+    maps = [table.entries] + ([starred] if starred is not None else [])
+    splits = {}
+    for entries in maps:
+        for v in entries.values():
+            for coeff in v.terms.values():
+                num, den = coords = coeff.integer_coords()
+                if coords not in splits:
+                    splits[coords] = dirs.intern(num) + (den,)
+    den_l = lcm(*(den for _, _, den in splits.values()))
+    keys = enumerate_fkeys(table.ring)
+    values = []
+    for entries in maps:
+        for k in keys:
+            terms = []
+            for m, c in entries[k].terms.items():
+                g, pid, den = splits[c.integer_coords()]
+                terms.append((m, g * (den_l // den), pid))
+            values.append(tuple(terms))
+    kernel = _Kernel(table, starred=starred)
+    summands = max(map(len, table.ring._fusion.values()))
+    # the width from the maxima over every entry's compiled value
+    return values, den_l, dirs.prims, kernel._width(summands, values)
+
+
+def test_kernel_compiles_each_distinct_value_once(table, h3):
+    unshared = table.map_entries(
+        lambda k, v: ParamScalar(v.tower, dict(v.terms)))
+    assert len({id(v) for v in unshared.entries.values()}) == len(unshared.entries)
+    cases = [
+        (table, None),
+        (table.substitute_params(1, -1), None),
+        (table.apply_gauge(_random_gauge(h3, random.Random(2024))), None),
+        (table.apply_gauge(_field_valued_gauge(h3, random.Random(77))), None),
+        (table, starred_entries(table)),
+        (unshared, None),
+    ]
+    for tab, starred in cases:
+        kernel = _Kernel(tab, starred=starred)
+        values, den_l, prims, width = _reference_compile(tab, starred)
+        assert kernel.values == values
+        assert kernel.den_l == den_l
+        assert kernel.dirs.prims == prims
+        assert kernel.width == width
+        assert kernel.by_key == dict(zip(enumerate_fkeys(h3), values))
+    assert _Kernel(unshared).values == _Kernel(table).values
+
+
+def _reference_first_failing(mutated, key):
+    instances, index = key_instance_index(mutated.ring)
+    for pos in index.get(key, ()):
+        inst = PentagonInstance(*instances[pos][:9], e_sum=instances[pos][9])
+        if not residual(inst, mutated).is_zero():
+            return inst
+    return None
+
+
+def _assert_negated_copy(base, before, mutated, key):
+    assert base.entries == before  # the base table is left as it was
+    assert mutated.entries.keys() == base.entries.keys()
+    assert mutated.entries[key] == -base.entries[key]
+    assert all(v is base.entries[k]
+               for k, v in mutated.entries.items() if k != key)
+
+
+def test_probes_match_the_reference_scan(table, h3):
+    gauged = table.apply_gauge(_random_gauge(h3, random.Random(7)))
+    keys = _four_dim_keys(h3)
+    cases = [(table, keys),
+             (gauged, random.Random(8).sample(keys, 16))]
+    for base, probe_keys in cases:
+        before = dict(base.entries)
+        for key in probe_keys:
+            mutated = negate_entry(base, key)
+            _assert_negated_copy(base, before, mutated, key)
+            got = find_failing_instance(mutated, key)
+            assert got is not None
+            assert got == _reference_first_failing(mutated, key), key
+
+
+def test_negate_entry_rejects_a_key_the_table_lacks(table):
+    key = FKey(0, 0, 0, 0, 1, 1)
+    assert key not in table.entries
+    with pytest.raises(KeyError, match=r"inadmissible key FKey\(a=0, b=0"):
+        negate_entry(table, key)
+
+
+def _reference_starred(tab):
+    out = {}
+    ring = tab.ring
+    for blk in f_blocks(ring):
+        inv = _invert_param_matrix(
+            ring.tower, tab.f_matrix(blk.a, blk.b, blk.c, blk.u))
+        for ei, e in enumerate(blk.e_labels):
+            for fi, f in enumerate(blk.f_labels):
+                out[FKey(blk.a, blk.b, blk.c, blk.u, e, f)] = inv[fi][ei]
+    return out
+
+
+def test_starred_entries_invert_each_distinct_matrix_once(table, h3):
+    for tab in (table, table.substitute_params(1, -1),
+                table.apply_gauge(_random_gauge(h3, random.Random(2024)))):
+        assert starred_entries(tab) == _reference_starred(tab)
+    # two 1x1 blocks of one matrix share their inverse entry
+    starred = starred_entries(table)
+    by_matrix = {}
+    for blk in f_blocks(h3):
+        if blk.dim == 1:
+            (k,) = blk.keys()
+            by_matrix.setdefault(table.entries[k], []).append(k)
+    first, second = next(ks for ks in by_matrix.values() if len(ks) > 1)[:2]
+    assert starred[first] is starred[second]
+
+
+def test_shared_singular_block_names_the_first_in_block_order(table, h3):
+    one = ParamScalar.from_field(h3.tower.one())
+    blocks = [blk for blk in f_blocks(h3) if blk.dim == 3]
+    # the same rank-one matrix in two blocks, the later one listed first
+    singular = {k for blk in (blocks[-1], blocks[2]) for k in blk.keys()}
+    broken = table.map_entries(lambda k, v: one if k in singular else v)
+    t = h3.token
+    blk = blocks[2]
+    name = f"({t(blk.a)},{t(blk.b)},{t(blk.c)};{t(blk.u)})"
+    with pytest.raises(ValueError) as err:
+        starred_entries(broken)
+    assert str(err.value) == f"block matrix is singular: {name}"
+    assert check_additional(broken).failures == [str(err.value)]

@@ -1,8 +1,13 @@
 """Property tests of the field layer on every tower preset, and of the
 data-set text format on gauged H3 tables."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
 
+from fusioncat import cli, fsymbols
 from fusioncat.exactnum import (ParamScalar, field_sqrt, parse_scalar,
                                 render_scalar, tower_preset)
 from fusioncat.fsymbols import GaugeAssignment, build_h3_table, parse
@@ -96,3 +101,47 @@ def test_gauged_table_text_round_trip(h3_table, data):
         min_size=1))
     gauged = h3_table.apply_gauge(GaugeAssignment(ring, values))
     assert parse(gauged.serialize()) == gauged
+
+
+DATA_SET_LINES = (Path(fsymbols.__file__).with_name("h3_fsymbols.txt")
+                  .read_text("utf-8").splitlines())
+fuzz_text = st.text(st.sampled_from(
+    sorted(set("".join(DATA_SET_LINES))) + list("\t\n\r#q^/()-+*ρ\x00é")),
+    min_size=1, max_size=3)
+
+
+@st.composite
+def edited_lines(draw):
+    """The data set's lines with one to three random edits: characters
+    replaced, deleted or inserted, or a line duplicated."""
+    lines = list(DATA_SET_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        op = draw(st.sampled_from(("replace", "delete", "insert", "duplicate")))
+        if op == "duplicate":
+            lines.insert(i, line)
+        elif op == "insert":
+            lines[i] = line[:at] + draw(fuzz_text) + line[at:]
+        else:
+            cut = at + draw(st.integers(1, 5))
+            new = draw(fuzz_text) if op == "replace" else ""
+            lines[i] = line[:at] + new + line[cut:]
+    return lines
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "edited.txt"
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(lines=edited_lines())
+def test_fuzzed_data_set_text_never_crashes(fuzz_path, lines):
+    fuzz_path.write_text("\n".join(lines) + "\n", "utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["export", "--dataset", str(fuzz_path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
