@@ -14,12 +14,13 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .exactnum import approx, render_scalar
 from .fsymbols import (DatasetParseError, FSymbolTable, build_h3_table,
                        all_ones_table, parse)
-from .fusionring import builtin_ring, enumerate_fkeys
+from .fusionring import builtin_ring, enumerate_fkeys, is_h3
 from .pentagon import (TRIVIALITY_RULES, check_additional, check_addtriv,
                        check_seeds, check_triangle, count_instances, verify_all)
 from .skein import derive_square_pop, h3_constants, h3_params
@@ -53,7 +54,7 @@ def _load_table(args) -> FSymbolTable:
             raise InputError(f"{args.dataset}: {exc}")
     name = getattr(args, "builtin", None) or "h3"
     ring = builtin_ring(name)
-    if ring.name == "h3":
+    if is_h3(ring):
         return build_h3_table()
     if ring.name == "z3_pointed":
         return all_ones_table(ring)
@@ -99,7 +100,7 @@ def cmd_verify(args) -> int:
     if params is not None:
         table = table.substitute_params(*params)
     reports = [table.check_orthogonality(), check_triangle(table)]
-    if table.ring.name == "h3":
+    if is_h3(table.ring):
         reports.append(check_seeds(table))
         reports.append(check_addtriv(table))
     pentagon = verify_all(table, jobs=args.jobs, rule=args.triviality)
@@ -186,16 +187,10 @@ def cmd_render(args) -> int:
     values = [table.entries[keys[i]].as_field() for i in order]
     width = args.width or math.isqrt(len(values) - 1) + 1
     height = (len(values) + width - 1) // width
-    body = bytearray()
-    pixels: dict = {}
-    for v in values:
-        pixel = pixels.get(v)
-        if pixel is None:
-            pixel = pixels[v] = _pixel(v)
-        body += pixel
+    body = b"".join(map(cache(_pixel), values))
     body += bytes((128, 128, 128)) * (width * height - len(values))
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    _write_out(args.out, header + bytes(body))
+    _write_out(args.out, header + body)
     print(f"wrote {args.out}: {width}x{height} P6, {len(values)} entries")
     return EXIT_OK
 
@@ -215,7 +210,7 @@ def cmd_skein(args) -> int:
 
 def cmd_solve(args) -> int:
     ring = builtin_ring(args.builtin)
-    if ring.name == "h3":
+    if is_h3(ring):
         if args.out:
             raise InputError("solve --builtin h3 does not take --out: "
                              "propagation does not complete the table")

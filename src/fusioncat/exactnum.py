@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 Rational = Fraction
 
@@ -72,7 +73,8 @@ class TowerSpec:
             ptab, den = ((((0, 1),),),), 1
         object.__setattr__(self, "_ptab", ptab)
         object.__setattr__(self, "_pden", den)
-        # generator enclosures per precision, filled by _gen_intervals
+        # generator enclosures per precision, filled by _gen_intervals; kept
+        # here, as a cache keyed by the tower would hash it (~4 us) per call
         object.__setattr__(self, "_gen_ivs", {})
 
     def zero(self) -> FieldScalar:
@@ -462,25 +464,25 @@ def _check_h3_degree(tower: TowerSpec) -> None:
     # A < 0 trap: x^2 + 13 y^2 = -3/2 is impossible; nothing to compute.
 
 
-_TOWERS: dict[str, TowerSpec] = {}
-
-
 def tower_preset(name: str) -> TowerSpec:
-    """Return one of the built-in towers: h3, fibonacci, ising, rationals."""
-    if name not in _TOWERS:
-        if name == "h3":
-            t = _build_h3_tower()
-            _check_h3_degree(t)
-        elif name == "fibonacci":
-            t = _build_fib_tower()
-        elif name == "ising":
-            t = TowerSpec(name="ising", gens=("r2",), squares=((Fraction(2),),))
-        elif name == "rationals":
-            t = TowerSpec(name="rationals", gens=(), squares=())
-        else:
-            raise ValueError(f"unknown tower preset {name!r}")
-        _TOWERS[name] = t
-    return _TOWERS[name]
+    """Return one of the built-in towers: h3, fibonacci, ising, rationals;
+    one object per name for the process."""
+    return _build_tower(name)  # positional, so a keyword call shares the key
+
+
+@cache
+def _build_tower(name: str) -> TowerSpec:
+    if name == "h3":
+        t = _build_h3_tower()
+        _check_h3_degree(t)
+        return t
+    if name == "fibonacci":
+        return _build_fib_tower()
+    if name == "ising":
+        return TowerSpec(name="ising", gens=("r2",), squares=((Fraction(2),),))
+    if name == "rationals":
+        return TowerSpec(name="rationals", gens=(), squares=())
+    raise ValueError(f"unknown tower preset {name!r}")
 
 
 def named_constant(name: str, tower: TowerSpec | None = None) -> FieldScalar:
@@ -493,7 +495,7 @@ def named_constant(name: str, tower: TowerSpec | None = None) -> FieldScalar:
     (r13-2)/9).
     """
     t = tower if tower is not None else tower_preset("h3")
-    if t.name != "h3":
+    if t is not tower_preset("h3"):
         raise ValueError(f"constant {name!r} requires the h3 tower")
     r13 = t.gen(0)
     rA = t.gen(1)
@@ -677,7 +679,9 @@ class ParamScalar:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldScalar)):
+        if isinstance(other, FieldScalar):
+            other = ParamScalar.from_field(other)
+        elif isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, ParamScalar):
             return NotImplemented

@@ -14,8 +14,9 @@ module, byte for byte what ``serialize`` writes; ``build_h3_table`` parses it.
 
 The data set holds few distinct values (1431 entries, 51 distinct expression
 texts), so ``parse``, ``serialize`` and ``substitute_params`` work out each
-distinct value once per call, in a local dict, and let the entries share the
-resulting immutable scalars.  The checks build on that sharing:
+distinct value once per call (``parse`` in a dict keyed by the text, the
+others in a ``functools.cache`` made for the call) and let the entries share
+the resulting immutable scalars.  The checks build on that sharing:
 ``check_orthogonality`` and the starred-block inversion work once per
 distinct block matrix, and the exact kernel once per distinct value object.
 """
@@ -23,6 +24,7 @@ distinct block matrix, and the exact kernel once per distinct value object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -48,6 +50,9 @@ class GaugeAssignment:
             raise ValueError(f"({a},{b};{c}) is not a fusion vertex")
         if not isinstance(v, FieldScalar):
             v = self.ring.tower.from_rational(v)
+        elif v.tower is not self.ring.tower:
+            raise ValueError(f"gauge value for ({a},{b};{c}) is in tower "
+                             f"{v.tower.name}, not {self.ring.tower.name}")
         if v.is_zero():
             raise ValueError("gauge values must be nonzero")
         self.values[(a, b, c)] = v
@@ -139,15 +144,8 @@ class FSymbolTable:
         return self.map_entries(rescale)
 
     def substitute_params(self, p1: int, p2: int) -> "FSymbolTable":
-        done: dict[ParamScalar, ParamScalar] = {}
-
-        def at_point(k: FKey, v: ParamScalar) -> ParamScalar:
-            out = done.get(v)
-            if out is None:
-                out = done[v] = ParamScalar.from_field(v.substitute(p1, p2))
-            return out
-
-        return self.map_entries(at_point)
+        at = cache(lambda v: ParamScalar.from_field(v.substitute(p1, p2)))
+        return self.map_entries(lambda k, v: at(v))
 
     def check_orthogonality(self) -> BlockReport:
         """F Ft = Ft F = identity, exactly and symbolically, per block.
@@ -160,18 +158,18 @@ class FSymbolTable:
         report = BlockReport("orthogonality")
         one = self.ring.tower.one()
         zero = ParamScalar.from_field(self.ring.tower.zero())
-        verdicts: dict[tuple, bool] = {}
+
+        @cache
+        def orthogonal(m: tuple) -> bool:
+            d = len(m)
+            return all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
+                       == (one if i == j else 0)
+                       for i in range(d) for j in range(i, d))
+
         for blk in f_blocks(self.ring):
-            m = tuple(map(tuple, self.f_matrix(blk.a, blk.b, blk.c, blk.u)))
-            ok = verdicts.get(m)
-            if ok is None:
-                d = blk.dim
-                ok = verdicts[m] = all(
-                    sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
-                    == (one if i == j else 0)
-                    for i in range(d) for j in range(i, d))
             report.checked += 1
-            if not ok:
+            if not orthogonal(tuple(map(tuple, self.f_matrix(
+                    blk.a, blk.b, blk.c, blk.u)))):
                 t = self.ring.token
                 report.failures.append(
                     f"block ({t(blk.a)},{t(blk.b)},{t(blk.c)};{t(blk.u)})")
@@ -183,14 +181,10 @@ class FSymbolTable:
                  "# rows of a block run over the right-tree internal label e,"
                  " columns over the left-tree label f"]
         t = self.ring.token
-        texts: dict[ParamScalar, str] = {}
+        text = cache(render_scalar)
         for k in sorted(self.entries, key=lambda k: k.sort_key):
-            v = self.entries[k]
-            expr = texts.get(v)
-            if expr is None:
-                expr = texts[v] = render_scalar(v)
-            lines.append(
-                f"F {t(k.u)} {t(k.a)} {t(k.b)} {t(k.c)} {t(k.e)} {t(k.f)} = {expr}")
+            lines.append(f"F {t(k.u)} {t(k.a)} {t(k.b)} {t(k.c)} {t(k.e)} "
+                         f"{t(k.f)} = {text(self.entries[k])}")
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
@@ -229,6 +223,8 @@ def parse(text: str, ring: FusionRing | None = None) -> FSymbolTable:
     if not lines or lines[0].strip() != HEADER:
         raise DatasetParseError(f"expected header {HEADER!r}", 1)
     entries: dict[FKey, ParamScalar] = {}
+    # text -> value; not a cache keyed by (text, tower): the first entry fixes
+    # the tower, and hashing a TowerSpec per line (~4 us) adds 6 ms to 10 ms
     values: dict[str, ParamScalar] = {}
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()

@@ -14,7 +14,7 @@ so N_f^{ab} = N_u^{fc} = 1) and ``e`` on the right-associated tree
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, NamedTuple
 
@@ -308,8 +308,6 @@ def _build_ising() -> FusionRing:
                       (0, 1, 2), (one, tower.gen(0), one), tower)
 
 
-_RINGS: dict[str, FusionRing] = {}
-
 _BUILTIN_ALIASES = {
     "h3": "h3", "z3_pointed": "z3_pointed", "z3": "z3_pointed",
     "fibonacci": "fibonacci", "fib": "fibonacci", "ising": "ising",
@@ -321,16 +319,23 @@ def builtin_ring(name: str) -> FusionRing:
     key = _BUILTIN_ALIASES.get(name)
     if key is None:
         raise ValueError(f"unknown ring {name!r}")
-    if key not in _RINGS:
-        if key == "h3":
-            ring = _build_h3()
-        elif key == "z3_pointed":
-            table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-            ring = _group_ring("z3_pointed", [("1", "1"), ("α", "a"), ("α*", "as")],
-                               table, tower_preset("rationals"))
-        elif key == "fibonacci":
-            ring = _build_fibonacci()
-        else:
-            ring = _build_ising()
-        _RINGS[key] = ring
-    return _RINGS[key]
+    return _build_builtin(key)
+
+
+@cache
+def _build_builtin(key: str) -> FusionRing:
+    """The built-in ring of a resolved name, one object for the process."""
+    if key == "h3":
+        return _build_h3()
+    if key == "z3_pointed":
+        table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        return _group_ring("z3_pointed", [("1", "1"), ("α", "a"), ("α*", "as")],
+                           table, tower_preset("rationals"))
+    if key == "fibonacci":
+        return _build_fibonacci()
+    return _build_ising()
+
+
+def is_h3(ring: FusionRing) -> bool:
+    """True for the built-in h3 ring itself, not another ring of that name."""
+    return ring is builtin_ring("h3")

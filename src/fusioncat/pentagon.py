@@ -33,8 +33,8 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce, wraps
-from itertools import accumulate, islice, product
+from functools import cache, partial, reduce, wraps
+from itertools import accumulate, chain, islice, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -42,15 +42,18 @@ from typing import Iterator, NamedTuple
 from .exactnum import (FieldScalar, ParamScalar, gauss_jordan, named_constant,
                        render_scalar)
 from .fsymbols import FSymbolTable, BlockReport
-from .fusionring import FKey, FusionRing, enumerate_fkeys, f_blocks
+from .fusionring import FKey, FusionRing, enumerate_fkeys, f_blocks, is_h3
 
 # the triviality rules (see classify) and the instance bits each one skips
 _RULE_BITS = {"unit": 1, "identical": 2, "both": 3, "vacuous": 0}
 TRIVIALITY_RULES = tuple(_RULE_BITS)
 
 
-@dataclass(frozen=True)
-class PentagonInstance:
+class PentagonInstance(NamedTuple):
+    """One pentagon instance as the tuple :func:`_raw_instances` yields: the
+    nine labels, then the labels t of the right-hand sum.  It equals that
+    plain tuple and has length 10."""
+
     x: int
     y: int
     z: int
@@ -64,12 +67,11 @@ class PentagonInstance:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return (self.x, self.y, self.z, self.w, self.u,
-                self.a, self.b, self.c, self.d)
+        return self[:9]
 
     def keys(self) -> list[FKey]:
         """The five key families; the summed keys once per summand."""
-        return list(map(FKey._make, _instance_keys(self.labels + (self.e_sum,))))
+        return list(map(FKey._make, _instance_keys(self)))
 
 
 def _instance_keys(tup) -> list[tuple]:
@@ -83,8 +85,7 @@ def _instance_keys(tup) -> list[tuple]:
 
 def enumerate_instances(ring: FusionRing) -> Iterator[PentagonInstance]:
     """Deterministic lexicographic stream over (x, y, z, w, u, a, b, c, d)."""
-    for tup in _raw_instances(ring):
-        yield PentagonInstance(*tup[:9], e_sum=tup[9])
+    return map(PentagonInstance._make, _raw_instances(ring))
 
 
 def _raw_instances(ring: FusionRing):
@@ -152,8 +153,7 @@ def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bo
     """
     if rule not in _RULE_BITS:
         raise ValueError(f"unknown triviality rule {rule!r}")
-    tup = inst.labels + (inst.e_sum,)
-    return bool(_trivial_bits(ring.unit, tup) & _RULE_BITS[rule])
+    return bool(_trivial_bits(ring.unit, inst) & _RULE_BITS[rule])
 
 
 def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
@@ -253,7 +253,9 @@ def _failing(ring: FusionRing, plan: _Plan, nonzero) -> list:
 # fast exact kernel
 
 class _Memo(dict):
-    """A dict that fills a missing key from a function of that key."""
+    """A dict that fills a missing key from a function of that key; nested,
+    so the kernel's inner loop indexes by direction id and builds no tuple
+    key per product, as a ``functools.cache`` would."""
 
     __slots__ = ("_fill",)
 
@@ -501,12 +503,6 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "VerifyReport") -> "VerifyReport":
-        self.total += other.total
-        self.trivial += other.trivial
-        self.failures.extend(other.failures)
-        return self
-
     def summary(self) -> str:
         return (f"instances={self.total} trivial={self.trivial} "
                 f"nontrivial={self.nontrivial} failures={len(self.failures)}")
@@ -520,37 +516,35 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _verify_range(kernel: _Kernel, ring: FusionRing, rule: str, start: int,
-                  stop: int) -> VerifyReport:
-    """The pentagon instances ``start`` to ``stop`` of a ring."""
+def _range_failures(kernel: _Kernel, ring: FusionRing, mask: int, start: int,
+                    stop: int) -> list[tuple[tuple, str]]:
+    """(labels, rendered residual) of every failing pentagon instance among
+    ``start`` to ``stop`` whose triviality bits miss ``mask``."""
     plan = _pentagon_plan(ring)
-    mask = _RULE_BITS[rule]
-    rep = VerifyReport(rule=rule, total=stop - start, trivial=sum(
-        1 for b in plan.trivial[start:stop] if b & mask))
-    for (x, y, c, u, d, a), (_, z, w, _, _, b), acc in _failing(
-            ring, plan, _sweep(kernel, plan, start, stop, mask)):
-        rep.failures.append(((x, y, z, w, u, a, b, c, d),
-                             render_scalar(kernel.scalar(acc))))
-    return rep
+    return [((x, y, z, w, u, a, b, c, d), render_scalar(kernel.scalar(acc)))
+            for (x, y, c, u, d, a), (_, z, w, _, _, b), acc in _failing(
+                ring, plan, _sweep(kernel, plan, start, stop, mask))]
 
 
 _FORK_STATE: dict = {}
 
 
 def _pool_worker(start, stop):
-    return _verify_range(*_FORK_STATE["args"], start, stop)
+    return _range_failures(*_FORK_STATE["args"], start, stop)
 
 
 def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> VerifyReport:
     """Evaluate the residual of every nontrivial instance; exact throughout.
-    Up to ``min(jobs, len(ring))`` forked workers share the instances."""
+    Up to ``min(jobs, len(ring))`` forked workers share the instances, each
+    rendering the failures of its ranges."""
     if rule not in TRIVIALITY_RULES:
         raise ValueError(f"unknown triviality rule {rule!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
     ring = table.ring
-    total = len(_pentagon_plan(ring).counts)
+    plan = _pentagon_plan(ring)
+    total, mask = len(plan.counts), _RULE_BITS[rule]
     # compiled once; forked workers inherit it and the plan
     kernel = _Kernel(table)
     procs = min(jobs, len(ring))
@@ -559,18 +553,17 @@ def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> Verify
 
         # four ranges per worker even out the uneven cost of instances
         cuts = [total * i // (4 * procs) for i in range(4 * procs + 1)]
-        _FORK_STATE["args"] = (kernel, ring, rule)
+        _FORK_STATE["args"] = (kernel, ring, mask)
         try:
             with mp.get_context("fork").Pool(procs) as pool:
                 parts = pool.starmap(_pool_worker, zip(cuts, cuts[1:]))
         finally:
             _FORK_STATE.clear()
     else:
-        parts = [_verify_range(kernel, ring, rule, 0, total)]
-    rep = reduce(VerifyReport.merge, parts, VerifyReport(rule=rule))
-    rep.failures.sort()
-    rep.duration = time.monotonic() - start
-    return rep
+        parts = [_range_failures(kernel, ring, mask, 0, total)]
+    return VerifyReport(rule, total, sum(1 for b in plan.trivial if b & mask),
+                        sorted(chain.from_iterable(parts)),
+                        time.monotonic() - start)
 
 
 def count_instances(ring: FusionRing) -> dict[str, int]:
@@ -614,7 +607,7 @@ def find_failing_instance(table: FSymbolTable,
     for pos in index.get(key, ()):
         tup = instances[pos]
         if not kernel.is_zero(kernel.pentagon(tup)):
-            return PentagonInstance(*tup[:9], e_sum=tup[9])
+            return PentagonInstance._make(tup)
     return None
 
 
@@ -683,13 +676,10 @@ def _invert_param_matrix(tower, m):
             [next(iter(v.terms.values()), tower.zero()) for v in row] for row in m])
         return [[ParamScalar(tower, {cols[i] ^ rows[j]: x})
                  for j, x in enumerate(row)] for i, row in enumerate(inv)]
-    inverses, at = {}, {}
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            mm = tuple(tuple(v.substitute(s1, s2) for v in row) for row in m)
-            if mm not in inverses:
-                inverses[mm] = _field_matrix_inverse(tower, mm)
-            at[s1, s2] = inverses[mm]
+    invert = cache(partial(_field_matrix_inverse, tower))
+    at = {(s1, s2): invert(tuple(tuple(v.substitute(s1, s2) for v in row)
+                                 for row in m))
+          for s1 in (1, -1) for s2 in (1, -1)}
     return [[ParamScalar.from_points(
                 tower, {point: inv[r][c] for point, inv in at.items()})
              for c in range(len(m))] for r in range(len(m))]
@@ -705,25 +695,24 @@ def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
     of its inverse.
     """
     out: dict[FKey, ParamScalar] = {}
-    inverses: dict[tuple, list] = {}
+    invert = cache(partial(_invert_param_matrix, table.ring.tower))
     for blk in f_blocks(table.ring):
-        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u, inverses))
+        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u, invert))
     return out
 
 
 def _starred_block(table: FSymbolTable, a: int, b: int, c: int, u: int,
-                   inverses: dict[tuple, list]) -> dict[FKey, ParamScalar]:
+                   invert) -> dict[FKey, ParamScalar]:
     """The starred entries of one block, keyed as in :func:`starred_entries`;
-    ``inverses`` maps the block matrices inverted so far to their inverses."""
+    ``invert`` maps a block matrix, a tuple of row tuples, to its inverse
+    (as :func:`_invert_param_matrix` in the ring's tower)."""
     ring = table.ring
     m = tuple(map(tuple, table.f_matrix(a, b, c, u)))
-    inv = inverses.get(m)
-    if inv is None:
-        try:
-            inv = inverses[m] = _invert_param_matrix(ring.tower, m)
-        except ValueError as exc:
-            t = ring.token
-            raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None
+    try:
+        inv = invert(m)
+    except ValueError as exc:
+        t = ring.token
+        raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None
     return {FKey(a, b, c, u, e, f): inv[fi][ei]
             for ei, e in enumerate(ring.e_labels(a, b, c, u))
             for fi, f in enumerate(ring.f_labels(a, b, c, u))}
@@ -801,7 +790,7 @@ def _square_pop_relations(ring: FusionRing) -> dict[int, tuple]:
     as x -> ((sqrt(d), first key, second key), ((c1, key), (c2, key))).
     They hold in the data set's gauge only; other rings have none.
     """
-    if ring.name != "h3":
+    if not is_h3(ring):
         return {}
     r, unit = ring.label("r"), ring.unit
     sqrt_d, c1, c2 = (named_constant(n) for n in ("bBigon", "c1", "c2"))
@@ -818,13 +807,14 @@ def check_addtriv(table: FSymbolTable) -> BlockReport:
     vertices breaks them (which `test` callers exercise deliberately).
     """
     ring = table.ring
-    if ring.name != "h3":
+    if not is_h3(ring):
         raise ValueError("the square-pop identities are specific to the h3 ring")
     report = BlockReport("addtriv (gauge-dependent: data-set gauge only)")
     g = table.entries
     r = ring.label("r")
     try:
-        starred = _starred_block(table, r, r, r, r, {})
+        starred = _starred_block(table, r, r, r, r,
+                                 partial(_invert_param_matrix, ring.tower))
     except ValueError as exc:
         report.failures.append(str(exc))
         return report
@@ -839,7 +829,7 @@ def check_seeds(table: FSymbolTable) -> BlockReport:
     """The theorem-forced values: unit-label {1, rho} entries are 1, the
     rho-unit-rho families are 1, and (F[r; r r r])_{e=r, f=r} = -B."""
     ring = table.ring
-    if ring.name != "h3":
+    if not is_h3(ring):
         raise ValueError("seed values are specific to the h3 ring")
     report = BlockReport("seeds")
     one = ParamScalar.from_field(ring.tower.one())
@@ -853,13 +843,9 @@ def check_seeds(table: FSymbolTable) -> BlockReport:
             if v != one:
                 report.failures.append(f"{ring.describe(k)} != 1")
     for x in rho_family:
-        cases = [FKey(r, unit, r, x, r, r),   # F[x; r 1 r]
-                 FKey(unit, r, x, r, r, r),   # F[r; 1 r x]
-                 FKey(x, r, unit, r, r, r)]   # F[r; x r 1]
-        for k in cases:
-            k = FKey(k.a, k.b, k.c, k.u,
-                     ring.e_labels(k.a, k.b, k.c, k.u)[0],
-                     ring.f_labels(k.a, k.b, k.c, k.u)[0])
+        for k in (FKey(r, unit, r, x, r, r),    # F[x; r 1 r]
+                  FKey(unit, r, x, r, r, r),    # F[r; 1 r x]
+                  FKey(x, r, unit, r, r, r)):   # F[r; x r 1]
             report.checked += 1
             if table.entries[k] != one:
                 report.failures.append(f"{ring.describe(k)} != 1")

@@ -41,7 +41,8 @@ from itertools import accumulate
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant, render_scalar)
 from .fsymbols import FSymbolTable
-from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
+from .fusionring import (FKey, FusionRing, builtin_ring, enumerate_fkeys,
+                         f_blocks, is_h3)
 from .pentagon import (_pentagon_plan, _per_ring, _square_pop_relations,
                        verify_all)
 
@@ -110,7 +111,7 @@ def seed(ring: FusionRing) -> PartialTable:
             if ring.unit in (k.a, k.b, k.c):
                 known[k] = one
         log.append("unit-label vertices normalized: unit-label entries set to 1")
-    if ring.name == "h3":
+    if is_h3(ring):
         r = ring.label("r")
         known[FKey(r, r, r, r, r, r)] = -named_constant("B")
         log.append("all-rho diagonal entry fixed to -B (skein triangle value)")
@@ -520,7 +521,7 @@ def solve(ring, max_branch_nodes: int | None = None,
     if isinstance(ring, str):
         ring = builtin_ring(ring)
     if max_branch_nodes is None:
-        max_branch_nodes = 0 if ring.name == "h3" else 4096
+        max_branch_nodes = 0 if is_h3(ring) else 4096
     t0 = time.monotonic()
     tables: list[FSymbolTable] = []
     seen: set = set()
@@ -558,7 +559,7 @@ def solve(ring, max_branch_nodes: int | None = None,
     if first_report is not None:
         first_report.duration = time.monotonic() - t0
         first_report.branch_decisions = [f"explored {nodes} branch nodes"]
-    if ring.name != "h3" and not tables and not with_report:
+    if not is_h3(ring) and not tables and not with_report:
         raise RuntimeError("no branch survived verification")
     if with_report:
         return tables, first_report

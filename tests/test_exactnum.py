@@ -162,6 +162,22 @@ def test_tower_mismatch(h3):
     other = tower_preset("ising")
     with pytest.raises(ValueError, match="tower mismatch"):
         field_add(h3.one(), other.one())
+    # equality across towers is False either way round; arithmetic raises
+    fib_one = tower_preset("fibonacci").one()
+    h3_one = ParamScalar.from_field(h3.one())
+    assert h3_one != fib_one and fib_one != h3_one
+    assert not h3_one == fib_one and not fib_one == h3_one
+    with pytest.raises(ValueError, match="tower mismatch"):
+        h3_one + fib_one
+
+
+def test_presets_are_one_object_per_name():
+    for name in ("h3", "fibonacci", "ising", "rationals"):
+        assert tower_preset(name) is tower_preset(name)
+        assert tower_preset(name=name) is tower_preset(name)
+    for _ in range(2):  # a failed build is not remembered
+        with pytest.raises(ValueError, match="unknown tower preset 'q7'"):
+            tower_preset("q7")
 
 
 def test_zero_identities(h3):

@@ -8,7 +8,7 @@ import pytest
 
 from fusioncat import fsymbols
 from fusioncat.exactnum import (ParamScalar, ScalarParseError, named_constant,
-                                parse_scalar, render_scalar)
+                                parse_scalar, render_scalar, tower_preset)
 from fusioncat.fsymbols import (DatasetParseError, FSymbolTable,
                                 GaugeAssignment, all_ones_table,
                                 build_h3_table, parse)
@@ -146,6 +146,14 @@ def test_gauge_values_must_be_nonzero(h3):
         GaugeAssignment(h3).set("r", "r", "r", 0)
     with pytest.raises(ValueError, match="vertex"):
         GaugeAssignment(h3).set("1", "a", "as", 2)
+
+
+def test_gauge_values_must_be_in_the_ring_tower(h3):
+    fib_one = tower_preset("fibonacci").one()
+    with pytest.raises(ValueError, match=r"\(3,3;3\) is in tower fibonacci"):
+        GaugeAssignment(h3).set("r", "r", "r", fib_one)
+    with pytest.raises(ValueError, match="tower fibonacci"):
+        GaugeAssignment(h3, {("r", "r", "1"): fib_one})
 
 
 def test_serialize_round_trip(table):

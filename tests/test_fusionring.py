@@ -130,6 +130,15 @@ def test_inadmissible_key_is_rejected(h3):
     h3.key("1", "r", "r", "ar", "ar", "r")
 
 
+def test_builtin_ring_aliases_share_one_object():
+    assert builtin_ring("fib") is builtin_ring("fibonacci")
+    assert builtin_ring(name="fib") is builtin_ring("fibonacci")
+    assert builtin_ring("z3") is builtin_ring("z3_pointed")
+    for _ in range(2):  # a failed lookup is not remembered
+        with pytest.raises(ValueError, match="unknown ring 'z4'"):
+            builtin_ring("z4")
+
+
 def test_key_and_block_lists_are_fresh_copies():
     fib = builtin_ring("fibonacci")
     keys, blocks = enumerate_fkeys(fib), f_blocks(fib)

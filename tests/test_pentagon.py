@@ -10,8 +10,8 @@ from operator import mul
 
 import pytest
 
-from fusioncat.exactnum import (ParamScalar, named_constant, render_scalar,
-                                tower_preset)
+from fusioncat.exactnum import (ParamScalar, TowerSpec, named_constant,
+                                render_scalar, tower_preset)
 from fusioncat.fsymbols import GaugeAssignment, all_ones_table, build_h3_table
 from fusioncat.fusionring import (FKey, _group_ring, builtin_ring,
                                   enumerate_fkeys, f_blocks)
@@ -543,6 +543,41 @@ def test_index_cache_is_per_ring_object():
     assert len(key_instance_index(builtin_ring("h3"))[0]) == 41391
 
 
+def test_a_ring_named_h3_is_not_treated_as_h3():
+    impostor = _group_ring("h3", [("1", "1"), ("α", "a"), ("α*", "as")],
+                           [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                           tower_preset("rationals"))
+    tables = solve(impostor)
+    assert len(tables) == 1 and tables[0].entries == solve("z3")[0].entries
+    with pytest.raises(ValueError, match="seed values are specific to the h3"):
+        check_seeds(all_ones_table(impostor))
+    with pytest.raises(ValueError, match="requires the h3 tower"):
+        named_constant("B", TowerSpec("h3", (), ()))
+
+
+@pytest.mark.parametrize("name", RING_NAMES)
+def test_instances_are_the_enumerated_tuples(name):
+    ring = builtin_ring(name)
+    instances = list(enumerate_instances(ring))
+    assert instances == list(_raw_instances(ring))
+    assert all(isinstance(inst, tuple) for inst in instances)
+
+
+def test_instance_repr_is_unchanged():
+    inst = next(iter(enumerate_instances(builtin_ring("h3"))))
+    assert repr(inst) == ("PentagonInstance(x=0, y=0, z=0, w=0, u=0, "
+                          "a=0, b=0, c=0, d=0, e_sum=(0,))")
+
+
+def test_failing_instance_is_the_indexed_tuple(table, h3):
+    instances, index = key_instance_index(h3)
+    for key in random.Random(15).sample(_four_dim_keys(h3), 3):
+        mutated = negate_entry(table, key)
+        pos = next(p for p in index[key] if not residual(PentagonInstance(
+            *instances[p][:9], e_sum=instances[p][9]), mutated).is_zero())
+        assert find_failing_instance(mutated, key) == instances[pos]
+
+
 def test_trivial_counts_match_census(table):
     z3 = builtin_ring("z3_pointed")
     ones = all_ones_table(z3)
@@ -662,7 +697,7 @@ def test_verify_parallel_matches_serial_on_failing_tables(table, h3):
     keys = rng.sample(_four_dim_keys(h3), 3)
     negated = negate_entry(negate_entry(table, keys[0]), keys[1])
     gauged = negate_entry(table.apply_gauge(_random_gauge(h3, rng)), keys[2])
-    for tab in (negated, gauged):
+    for tab in (negated, gauged, _galois_conjugate(table, 1)):
         serial = verify_all(tab)
         assert not serial.passed
         assert verify_all(tab, jobs=2).render() == serial.render()
