@@ -22,7 +22,6 @@ from functools import cache
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class TowerSpec:
             ptab, den = ((((0, 1),),),), 1
         object.__setattr__(self, "_ptab", ptab)
         object.__setattr__(self, "_pden", den)
-        # generator enclosures per precision, filled by _gen_intervals; kept
+        # monomial bounds per precision, filled by _monomial_bounds; kept
         # here, as a cache keyed by the tower would hash it (~4 us) per call
         object.__setattr__(self, "_gen_ivs", {})
 
@@ -99,9 +98,7 @@ class TowerSpec:
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError(f"need {self.degree} coordinates, got {len(coords)}")
-        den = 1
-        for q in coords:
-            den = den * q.denominator // math.gcd(den, q.denominator)
+        den = math.lcm(*(q.denominator for q in coords))
         return FieldScalar(self, tuple(int(q * den) for q in coords), den)
 
 
@@ -118,12 +115,7 @@ class FieldScalar:
 
     def __init__(self, tower: TowerSpec, num: tuple[int, ...], den: int):
         if den != 1:
-            g = den
-            for v in num:
-                if v:
-                    g = math.gcd(g, v)
-                    if g == 1:
-                        break
+            g = math.gcd(den, *num)
             if den < 0:
                 g = -g
             if g != 1:
@@ -290,12 +282,14 @@ class FieldScalar:
         return f"FieldScalar({self.tower.name}, {render_scalar(self)})"
 
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        return _interval(self, bits)
+        """Dyadic bounds lo <= self <= hi with hi - lo <= 2**-bits."""
+        lo, hi, b = _enclosure(self, bits)
+        return Fraction(lo, 1 << b), Fraction(hi, 1 << b)
 
     def approx_fraction(self, precision_bits: int = 53) -> Fraction:
         """A dyadic rational within 2**-precision_bits of the true value."""
-        lo, hi = _interval(self, precision_bits + 8)
-        return (lo + hi) / 2
+        lo, hi, b = _enclosure(self, precision_bits + 1)
+        return Fraction(lo + hi, 2 << b)
 
     def sign(self) -> int:
         """Exact sign in the real embedding with all adjoined roots positive."""
@@ -303,7 +297,7 @@ class FieldScalar:
             return 0
         bits = 64
         while True:
-            lo, hi = _interval(self, bits)
+            lo, hi, _ = _enclosure(self, bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -311,59 +305,61 @@ class FieldScalar:
             bits *= 2
 
 
-def _isqrt_interval(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(num/den) for num, den > 0, to roughly 2**-bits."""
-    shift = 1 << (2 * bits)
-    lo_int = math.isqrt(num * shift // den)
-    return Fraction(lo_int, 1 << bits), Fraction(lo_int + 2, 1 << bits)
+def _enclosure(x: FieldScalar, bits: int) -> tuple[int, int, int]:
+    """Integers lo, hi and a precision b with lo <= x * 2**b <= hi and
+    hi - lo <= 2**(b - bits).
+
+    b starts at ``bits`` plus 8 guard bits plus the bit length of the sum of
+    |coordinates|, so large coefficients meet the width at once, rounded up
+    to a multiple of 32 so few precisions of monomial bounds are kept.
+    """
+    num, den = x._num, x._den
+    scale = (sum(map(abs, num)) // den).bit_length()
+    b = -(-(bits + 8 + scale) // 32) * 32
+    while True:
+        lo, hi = _bound(num, den, _monomial_bounds(x.tower, b))
+        if hi - lo <= 1 << (b - bits):
+            return lo, hi, b
+        b += 32
 
 
-def _int_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(p), max(p))
+def _bound(num, den: int, monos) -> tuple[int, int]:
+    """Floor and ceiling of 2**b * sum(num[k] * monomial k) / den, from
+    bounds (lo, hi) on 2**b times each monomial; coordinates past the end
+    of ``monos`` must be zero."""
+    lo = hi = 0
+    for n, (mlo, mhi) in zip(num, monos):
+        if n > 0:
+            lo += n * mlo
+            hi += n * mhi
+        elif n:
+            lo += n * mhi
+            hi += n * mlo
+    return lo // den, -(-hi // den)
 
 
-def _gen_intervals(tower: TowerSpec, bits: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Enclosures of the adjoined square roots, computed once per precision."""
-    gens = tower._gen_ivs.get(bits)
-    if gens is not None:
-        return gens
-    gens = []
+def _monomial_bounds(tower: TowerSpec, b: int) -> tuple[tuple[int, int], ...]:
+    """Integer bounds 0 <= lo <= m * 2**b <= hi on every basis monomial m,
+    computed once per precision; generator i is monomial ``1 << i``.
+
+    Each generator is the integer square root of the bounds on its adjoined
+    square over the lower generators.  All bounds are nonnegative, so a
+    product takes floor(lo * lo') and ceil(hi * hi').
+    """
+    monos = tower._gen_ivs.get(b)
+    if monos is not None:
+        return monos
+    monos = [(1 << b, 1 << b)]
     for i, sq in enumerate(tower.squares):
-        # evaluate the adjoined square over the already-known generators
-        lo, hi = _eval_interval(sq, gens, bits)
+        s = tower.from_coords(sq + (0,) * (tower.degree - len(sq)))
+        lo, hi = _bound(s._num, s._den, monos)
         if hi <= 0:
             raise ValueError(f"adjoined element at level {i} is not positive")
-        slo, _ = _isqrt_interval(lo.numerator, lo.denominator, bits) if lo > 0 else (_ZERO, None)
-        _, shi = _isqrt_interval(hi.numerator, hi.denominator, bits)
-        gens.append((slo, shi))
-    gens = tower._gen_ivs[bits] = tuple(gens)
-    return gens
-
-
-def _eval_interval(coords, gen_ivs, bits: int) -> tuple[Fraction, Fraction]:
-    lo = hi = _ZERO
-    for idx, q in enumerate(coords):
-        if q == 0:
-            continue
-        mono = (_ONE, _ONE)
-        j = idx
-        level = 0
-        while j:
-            if j & 1:
-                mono = _int_mul(mono, gen_ivs[level])
-            j >>= 1
-            level += 1
-        tlo, thi = mono[0] * q, mono[1] * q
-        if q < 0:
-            tlo, thi = thi, tlo
-        lo, hi = lo + tlo, hi + thi
-    return lo, hi
-
-
-def _interval(x: FieldScalar, bits: int) -> tuple[Fraction, Fraction]:
-    gen_ivs = _gen_intervals(x.tower, bits + 16)
-    return _eval_interval(x.coords, gen_ivs, bits + 16)
+        glo = math.isqrt(max(lo, 0) << b)
+        ghi = math.isqrt((hi << b) - 1) + 1
+        monos += [(mlo * glo >> b, -(-mhi * ghi >> b)) for mlo, mhi in monos]
+    monos = tower._gen_ivs[b] = tuple(monos)
+    return monos
 
 
 def field_sqrt(x: FieldScalar) -> FieldScalar | None:

@@ -538,8 +538,8 @@ def solve(ring, max_branch_nodes: int | None = None,
             continue
         if report.remaining == 0:
             table = state.as_table()
-            fingerprint = tuple(
-                state.known[k].coords for k in sorted(state.known, key=lambda k: k.sort_key))
+            fingerprint = tuple(state.known[k].integer_coords()
+                                for k in sorted(state.known, key=lambda k: k.sort_key))
             if fingerprint not in seen and _verified(table):
                 seen.add(fingerprint)
                 tables.append(table)

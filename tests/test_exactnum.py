@@ -1,5 +1,6 @@
 """Exact field arithmetic, constants, text form, approximation."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from fusioncat.exactnum import (MAX_NESTING_DEPTH, FieldScalar, ParamScalar,
                                 ScalarParseError, approx, field_add, field_inv, field_mul, field_sqrt,
-                                gauss_jordan, is_zero, named_constant,
+                                TowerSpec, gauss_jordan, is_zero, named_constant,
                                 param_mul, param_substitute, parse_scalar,
                                 render_scalar, tower_preset)
 from fusioncat.pentagon import _invert_param_matrix
@@ -257,6 +258,53 @@ def test_zero_test_soundness(h3):
         if x.is_zero():
             continue
         assert abs(approx(x, 64)) > 0
+
+
+def _decimal_value(x):
+    """x to 100 significant digits, each adjoined root taken in decimal."""
+    def combine(coords, monos):
+        return sum(decimal.Decimal(q.numerator) / q.denominator * m
+                   for q, m in zip(coords, monos))
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        monos = [decimal.Decimal(1)]
+        for sq in x.tower.squares:
+            root = combine(sq, monos).sqrt()
+            monos += [m * root for m in monos]
+        return Fraction(combine(x.coords, monos))
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "h3"])
+def test_enclosures_meet_their_width_for_large_coefficients(name):
+    # approx_fraction(53) of 2**40 * r13 was once 5.8e-12 off: the working
+    # precision did not grow with the coefficients
+    tower = tower_preset(name)
+    rng = random.Random(40)
+    values = [tower.gen(0) * 2 ** 40, tower.gen(len(tower.gens) - 1) * -2 ** 40]
+    values += [tower.from_coords([rng.randint(-2 ** 40, 2 ** 40)
+                                  for _ in range(tower.degree)]) for _ in range(10)]
+    values += [_random_scalar(tower, rng, 2 ** 40) for _ in range(10)]
+    for x in values:
+        ref = _decimal_value(x)
+        for bits in (53, 64, 100, 200):
+            assert abs(x.approx_fraction(bits) - ref) <= Fraction(1, 2 ** bits)
+            lo, hi = x.interval(bits)
+            assert lo <= ref <= hi
+            assert hi - lo <= Fraction(1, 2 ** bits)
+
+
+def test_enclosure_refines_past_a_tiny_adjoined_square():
+    # sqrt(t) with t = 2**-60 / 3 is known only to about 2**29 units at the
+    # starting precision, so the width is met only after raising it
+    tower = TowerSpec("tiny", ("rt",), ((Fraction(1, 3 * 2 ** 60),),))
+    for x in (tower.gen(0), tower.from_coords([1, 2 ** 40])):
+        ref = _decimal_value(x)
+        for bits in (53, 64, 200):
+            lo, hi = x.interval(bits)
+            assert lo <= ref <= hi
+            assert hi - lo <= Fraction(1, 2 ** bits)
+            assert abs(x.approx_fraction(bits) - ref) <= Fraction(1, 2 ** bits)
 
 
 def test_approx_is_multiplicative(h3):

@@ -3,6 +3,7 @@ data-set text format on gauged H3 tables."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,12 @@ coords = st.one_of(st.just(0), st.fractions(min_value=-50, max_value=50,
                                             max_denominator=12))
 
 
-def elements(tower):
+big_coords = st.one_of(st.just(0), st.integers(-2 ** 40, 2 ** 40),
+                       st.fractions(min_value=-2 ** 40, max_value=2 ** 40,
+                                    max_denominator=2 ** 20))
+
+
+def elements(tower, coords=coords):
     return st.lists(coords, min_size=tower.degree,
                     max_size=tower.degree).map(tower.from_coords)
 
@@ -56,6 +62,32 @@ def test_sqrt_of_a_square(name, data):
     root = field_sqrt(x * x)
     assert root in (x, -x)
     assert root.sign() >= 0
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@settings
+@hypothesis.given(data=st.data())
+def test_sign_agrees_with_approx_fraction(name, data):
+    x = data.draw(elements(tower_preset(name), big_coords))
+    # minus a rational close to it, x is small and its sign needs refining
+    x -= x.approx_fraction(data.draw(st.integers(0, 100)))
+    for bits in (64, 256):
+        approx = x.approx_fraction(bits)
+        if abs(approx) > Fraction(1, 2 ** bits):
+            assert x.sign() == (1 if approx > 0 else -1)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@settings
+@hypothesis.given(data=st.data())
+def test_interval_width(name, data):
+    x = data.draw(elements(tower_preset(name), big_coords))
+    precisions = (1, 32, 53, 64, 100, 160)
+    intervals = [x.interval(bits) for bits in precisions]
+    for bits, (lo, hi) in zip(precisions, intervals):
+        assert 0 <= hi - lo <= Fraction(1, 2 ** bits)
+    # every interval holds x, so they all meet
+    assert max(lo for lo, _ in intervals) <= min(hi for _, hi in intervals)
 
 
 @pytest.mark.parametrize("name", PRESETS)
