@@ -4,12 +4,14 @@ A :class:`TowerSpec` lists the square roots adjoined on top of Q, each given
 by the element (in coordinates over the previous level) whose square root is
 added.  Field elements are stored as coordinate vectors over the 2**k
 monomial basis of square-root products, so equality and zero tests are exact
-coordinate comparisons.  On top of the field sits :class:`ParamScalar`, a
-polynomial in two formal sign parameters p1, p2 with p1**2 = p2**2 = 1.
+coordinate comparisons.  Those tests are sound because every tower proves
+at construction that each adjoined element is a positive non-square one
+level down, so the tower has degree 2**k.  On top of the field sits
+:class:`ParamScalar`, a polynomial in two formal sign parameters p1, p2 with
+p1**2 = p2**2 = 1.
 
 The built-in ``h3`` tower is Q(r13, rA, rE) with r13 = sqrt(13),
-rA = sqrt((r13 - 3)/2) and rE = sqrt(6*(r13 + 1)), which is a degree-8
-extension (see :func:`_check_h3_degree` for the non-square certificates).
+rA = sqrt((r13 - 3)/2) and rE = sqrt(6*(r13 + 1)), a degree-8 extension.
 """
 
 from __future__ import annotations
@@ -31,13 +33,20 @@ class TowerSpec:
     ``squares[i]`` holds the coordinates (length ``2**i``, over the basis of
     the first ``i`` generators) of the element whose square root is adjoined
     at level ``i``.  ``gens[i]`` is the token naming that square root in the
-    canonical text form.
+    canonical text form: an ASCII letter followed by letters or digits,
+    distinct, and neither ``p1`` nor ``p2``, so the text form parses back.
 
-    Construction precomputes the products of all pairs of basis monomials as
-    integer vectors over one common denominator, which is what makes scalar
-    multiplication a short integer loop instead of a recursion.  The table
-    of the top level is read off :class:`FieldScalar` products in the tower
-    one generator shorter, whose own table is built the same way.
+    Construction proves the top level: its square must be positive and have
+    no square root one level down (the norm descent of :func:`field_sqrt`),
+    else ``ValueError``.  The tower one generator shorter, built for the
+    product table below, has proved its own levels the same way, so each
+    level is checked once and the coordinate-wise zero test is exact.
+
+    Construction also precomputes the products of all pairs of basis
+    monomials as integer vectors over one common denominator, which is what
+    makes scalar multiplication a short integer loop instead of a recursion.
+    The table of the top level is read off :class:`FieldScalar` products in
+    the tower one generator shorter, whose own table is built the same way.
     """
 
     name: str
@@ -49,17 +58,32 @@ class TowerSpec:
         return 1 << len(self.gens)
 
     def __post_init__(self):
-        for i, sq in enumerate(self.squares):
-            if len(sq) != 1 << i:
-                raise ValueError(f"level {i} square has {len(sq)} coordinates, want {1 << i}")
+        if len(self.gens) != len(self.squares):
+            raise ValueError(f"{len(self.gens)} generators for "
+                             f"{len(self.squares)} adjoined squares")
         if self.gens:
+            top = self.gens[-1]
+            if not (top.isascii() and top.isalnum() and top[0].isalpha()):
+                raise ValueError(f"generator {top!r} is not an ASCII letter "
+                                 "followed by letters or digits")
+            if top in self.gens[:-1] + ("p1", "p2"):
+                raise ValueError(
+                    f"generator {top!r} repeats a generator or sign parameter")
+            lower = TowerSpec(self.name, self.gens[:-1], self.squares[:-1])
+            level, sq = len(lower.gens), self.squares[-1]
+            if len(sq) != lower.degree:
+                raise ValueError(f"level {level} square has {len(sq)} "
+                                 f"coordinates, want {lower.degree}")
+            g2 = lower.from_coords(sq)
+            if g2.sign() <= 0 or _sqrt_below(g2, level) is not None:
+                raise ValueError(
+                    f"level {level} square {render_scalar(g2)} of generator "
+                    f"{top!r} is not a positive non-square")
             # (x0 + x1*g)(y0 + y1*g) = x0*y0 + x1*y1*g**2 + (x0*y1 + x1*y0)*g,
             # the halves multiplied in the tower one level down
-            lower = TowerSpec(self.name, self.gens[:-1], self.squares[:-1])
             h = lower.degree
             basis = [FieldScalar(lower, tuple(int(i == j) for j in range(h)), 1)
                      for i in range(h)]
-            g2 = lower.from_coords(self.squares[-1])
             raw = [[(basis[i % h] * basis[j % h] * (g2 if i & j & h else 1),
                      (i ^ j) & h) for j in range(2 * h)] for i in range(2 * h)]
             den = math.lcm(*(p._den for row in raw for p, _ in row))
@@ -350,11 +374,9 @@ def _monomial_bounds(tower: TowerSpec, b: int) -> tuple[tuple[int, int], ...]:
     if monos is not None:
         return monos
     monos = [(1 << b, 1 << b)]
-    for i, sq in enumerate(tower.squares):
+    for sq in tower.squares:
         s = tower.from_coords(sq + (0,) * (tower.degree - len(sq)))
         lo, hi = _bound(s._num, s._den, monos)
-        if hi <= 0:
-            raise ValueError(f"adjoined element at level {i} is not positive")
         glo = math.isqrt(max(lo, 0) << b)
         ghi = math.isqrt((hi << b) - 1) + 1
         monos += [(mlo * glo >> b, -(-mhi * ghi >> b)) for mlo, mhi in monos]
@@ -418,46 +440,17 @@ def _sqrt_below(x: FieldScalar, level: int) -> FieldScalar | None:
 # ---------------------------------------------------------------------------
 # built-in towers
 
-def _build_h3_tower() -> TowerSpec:
-    # r13^2 = 13;  rA^2 = (r13 - 3)/2;  rE^2 = 6 + 6*r13
-    return TowerSpec(
-        name="h3",
-        gens=("r13", "rA", "rE"),
-        squares=(
-            (Fraction(13),),
-            (Fraction(-3, 2), Fraction(1, 2)),
-            (Fraction(6), Fraction(6), _ZERO, _ZERO),
-        ),
-    )
-
-
-def _build_fib_tower() -> TowerSpec:
-    # r5^2 = 5;  rphi^2 = (1 + r5)/2
-    return TowerSpec(
-        name="fibonacci",
-        gens=("r5", "rphi"),
-        squares=((Fraction(5),), (Fraction(1, 2), Fraction(1, 2))),
-    )
-
-
-def _check_h3_degree(tower: TowerSpec) -> None:
-    """Assert the three non-square certificates that make the tower degree 8.
-
-    - A = (r13-3)/2 is not a square in Q(r13): (x + y*r13)^2 = A would force
-      x^2 + 13 y^2 = -3/2 < 0.
-    - Neither E = 6 + 6 r13 nor A*E = 30 - 6 r13 is a square in Q(r13): the
-      induced quartics x^4 - 6 x^2 + 117 and x^4 - 30 x^2 + 117 have no
-      rational roots, hence no solution with rational x = (coordinate).
-    Together these give [Q(r13, rA, rE) : Q] = 8, which is what makes the
-    coordinate-wise zero test sound.
-    """
-    for p, q in ((-6, 117), (-30, 117)):
-        # rational roots of x^4 + p x^2 + q divide q (rational root theorem,
-        # monic integer polynomial => roots are integers dividing q)
-        for r in range(1, abs(q) + 1):
-            if q % r == 0 and r**4 + p * r**2 + q == 0:
-                raise AssertionError("h3 tower certificate violated")
-    # A < 0 trap: x^2 + 13 y^2 = -3/2 is impossible; nothing to compute.
+# name -> (gens, squares); r13**2 = 13, rA**2 = (r13 - 3)/2,
+# rE**2 = 6 + 6*r13, r5**2 = 5, rphi**2 = (1 + r5)/2
+_PRESETS = {
+    "h3": (("r13", "rA", "rE"),
+           ((Fraction(13),), (Fraction(-3, 2), Fraction(1, 2)),
+            (Fraction(6), Fraction(6), _ZERO, _ZERO))),
+    "fibonacci": (("r5", "rphi"),
+                  ((Fraction(5),), (Fraction(1, 2), Fraction(1, 2)))),
+    "ising": (("r2",), ((Fraction(2),),)),
+    "rationals": ((), ()),
+}
 
 
 def tower_preset(name: str) -> TowerSpec:
@@ -468,17 +461,9 @@ def tower_preset(name: str) -> TowerSpec:
 
 @cache
 def _build_tower(name: str) -> TowerSpec:
-    if name == "h3":
-        t = _build_h3_tower()
-        _check_h3_degree(t)
-        return t
-    if name == "fibonacci":
-        return _build_fib_tower()
-    if name == "ising":
-        return TowerSpec(name="ising", gens=("r2",), squares=((Fraction(2),),))
-    if name == "rationals":
-        return TowerSpec(name="rationals", gens=(), squares=())
-    raise ValueError(f"unknown tower preset {name!r}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown tower preset {name!r}")
+    return TowerSpec(name, *_PRESETS[name])
 
 
 def named_constant(name: str, tower: TowerSpec | None = None) -> FieldScalar:

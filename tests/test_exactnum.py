@@ -181,6 +181,36 @@ def test_presets_are_one_object_per_name():
             tower_preset("q7")
 
 
+@pytest.mark.parametrize("gens, squares, level", [
+    (("r4",), ((Fraction(4),),), 0),
+    (("r2", "r8"), ((Fraction(2),), (Fraction(8), 0)), 1),
+    (("r2", "r3", "r6"), ((Fraction(2),), (Fraction(3), 0), (Fraction(6), 0, 0, 0)), 2),
+    # (2 + r13)**2: the descent finds its root through the norm 81 = 9**2
+    (("r13", "s"), ((Fraction(13),), (Fraction(17), Fraction(4))), 1),
+    (("i",), ((Fraction(-1),),), 0),
+    (("z",), ((Fraction(0),),), 0),
+], ids=["4", "8-over-r2", "6-over-r2-r3", "square-over-r13", "minus-1", "zero"])
+def test_unsound_squares_are_rejected_at_construction(gens, squares, level):
+    # a square root of a square, or of a nonpositive element, would make the
+    # coordinate-wise zero test wrong (and sign() of gen - root never return)
+    with pytest.raises(ValueError, match=f"level {level} square .* of generator "
+                       f"'{gens[-1]}' is not a positive non-square"):
+        TowerSpec("bad", gens, squares)
+
+
+@pytest.mark.parametrize("gens, squares, match", [
+    ((), ((Fraction(2),),), "0 generators for 1 adjoined squares"),
+    (("r", "r"), ((Fraction(2),), (Fraction(3), 0)), "generator 'r' repeats"),
+    (("r_2",), ((Fraction(2),),), "generator 'r_2' is not an ASCII letter"),
+    (("p1",), ((Fraction(2),),), "generator 'p1' repeats .* sign parameter"),
+], ids=["count", "duplicate", "not-a-token", "sign-parameter"])
+def test_malformed_generators_are_rejected(gens, squares, match):
+    # a count mismatch went unnoticed; each of the others rendered text that
+    # did not parse back to the same value
+    with pytest.raises(ValueError, match=match):
+        TowerSpec("bad", gens, squares)
+
+
 def test_zero_identities(h3):
     r13 = h3.gen(0)
     dp, dm = named_constant("Dplus"), named_constant("Dminus")

@@ -1,4 +1,5 @@
-"""Tower arithmetic against sympy's algebraic numbers on every preset.
+"""Tower arithmetic and degree against sympy's algebraic numbers on every
+preset.
 
 Each adjoined root is built in sympy from ``TowerSpec.squares``, so the
 oracle shares no code with the integer product table, the norm descent of
@@ -87,3 +88,14 @@ def test_interval_holds_the_value(name, data):
     x = data.draw(elements(tower_preset(name)))
     lo, hi = x.interval(64)
     assert lo <= digits(to_sympy(x)) <= hi
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_tower_degree(name):
+    # the sum of the adjoined roots has as many conjugates as the tower
+    # claims basis monomials, so no level adjoins a root already present
+    tower = tower_preset(name)
+    total = sum((_basis(name)[1 << i] for i in range(len(tower.gens))),
+                sympy.Integer(0))
+    x = sympy.Symbol("x")
+    assert sympy.degree(sympy.minimal_polynomial(total, x), x) == tower.degree
