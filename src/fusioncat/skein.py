@@ -1,11 +1,11 @@
 """Closed trivalent-diagram evaluation and the square-popping derivation.
 
-Diagrams are half-edge structures with an explicit cyclic order at every
-(trivalent) vertex, so bigon and triangle faces can be found combinatorially;
-planarity of the inputs is assumed, not checked.  The fixed diagrams are
-written with named edges: each vertex lists the names of its three edges in
-cyclic order, the boundary lists the edges ending on it, and every name
-occurs exactly twice (see ``_diagram``).
+A diagram is its named edges: each (trivalent) vertex lists the names of
+its three edges in cyclic order, the boundary lists the edges ending on it,
+and every name occurs exactly twice (see :class:`TrivalentGraph`).  Faces
+are walked corner by corner, so bigon and triangle faces can be found
+combinatorially; planarity of the inputs is assumed, not checked.  Moves
+and gluing rewrite edge names.
 
 One generator, ``_moves``, yields every one-move reduction of a closed
 diagram: each bigon collapse (factor b), then each triangle contraction
@@ -29,7 +29,8 @@ two coefficients from the Gram matrix instead of trusting the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from .exactnum import (FieldScalar, TowerSpec, gauss_jordan, named_constant,
                        tower_preset)
@@ -81,157 +82,63 @@ def h3_constants() -> tuple[FieldScalar, FieldScalar, FieldScalar, FieldScalar, 
             named_constant("dRho"))
 
 
+@dataclass(frozen=True)
 class TrivalentGraph:
-    """A trivalent multigraph with cyclic vertex order and marked boundary.
+    """A trivalent diagram as named edges: each vertex lists the names of its
+    three edges in cyclic order, ``boundary`` the edges ending on the
+    boundary in boundary order, and ``circles`` counts closed vertex-free
+    loops.  Every name occurs exactly twice; this is checked once, here."""
 
-    Half-edges are integers; ``twin`` pairs them into edges, ``rot`` holds
-    one ordered triple per vertex, boundary points are loose half-edges in
-    boundary order.  ``circles`` counts closed vertex-free loops.
-    """
+    vertices: tuple[tuple, ...] = ()
+    boundary: tuple = ()
+    circles: int = 0
 
-    def __init__(self):
-        self.twin: dict[int, int] = {}
-        self.vertex_of: dict[int, int] = {}
-        self.rot: dict[int, tuple[int, ...]] = {}
-        self.boundary: list[int] = []
-        self.circles = 0
-        self._next_h = 0
-        self._next_v = 0
-
-    # -- construction --------------------------------------------------------
-
-    def half(self) -> int:
-        h = self._next_h
-        self._next_h += 1
-        return h
-
-    def vertex(self, *halves: int) -> int:
-        if len(halves) != 3:
-            raise ValueError("internal vertices are trivalent")
-        v = self._next_v
-        self._next_v += 1
-        self.rot[v] = tuple(halves)
-        for h in halves:
-            self.vertex_of[h] = v
-        return v
-
-    def edge(self, h1: int, h2: int) -> None:
-        self.twin[h1] = h2
-        self.twin[h2] = h1
-
-    def strand(self) -> tuple[int, int]:
-        """A bare edge; returns its two half-edges."""
-        h1, h2 = self.half(), self.half()
-        self.edge(h1, h2)
-        return h1, h2
-
-    def validate(self) -> "TrivalentGraph":
-        placed = set(self.boundary)
-        for v, rot in self.rot.items():
-            placed.update(rot)
-        for h, th in self.twin.items():
-            if self.twin.get(th) != h:
-                raise ValueError("twin map is not an involution")
-            if h not in placed:
-                raise ValueError(f"half-edge {h} is neither placed nor boundary")
-        return self
-
-    def copy(self) -> "TrivalentGraph":
-        g = TrivalentGraph()
-        g.twin = dict(self.twin)
-        g.vertex_of = dict(self.vertex_of)
-        g.rot = dict(self.rot)
-        g.boundary = list(self.boundary)
-        g.circles = self.circles
-        g._next_h = self._next_h
-        g._next_v = self._next_v
-        return g
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(map(tuple, self.vertices)))
+        object.__setattr__(self, "boundary", tuple(self.boundary))
+        ends = Counter(self.boundary)
+        for names in self.vertices:
+            if len(names) != 3:
+                raise ValueError("internal vertices are trivalent")
+            ends.update(names)
+        for name, count in ends.items():
+            if count != 2:
+                raise ValueError(f"edge {name!r} occurs {count} times, not twice")
 
     def mirrored(self) -> "TrivalentGraph":
         """The reflection: all cyclic orders reversed, boundary order kept."""
-        g = self.copy()
-        g.rot = {v: tuple(reversed(rot)) for v, rot in g.rot.items()}
-        return g
+        return replace(self, vertices=[names[::-1] for names in self.vertices])
 
-    # -- faces ---------------------------------------------------------------
-
-    def _rot_next(self, h: int) -> int:
-        rot = self.rot[self.vertex_of[h]]
-        return rot[(rot.index(h) + 1) % 3]
-
-    def face_of(self, h: int) -> tuple[int, ...]:
-        out = [h]
-        cur = self._rot_next(self.twin[h])
-        while cur != h:
-            out.append(cur)
-            cur = self._rot_next(self.twin[cur])
-        return tuple(out)
-
-    def faces(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for h in sorted(self.twin):
-            if h in seen or h in self.boundary:
+    def faces(self) -> list[tuple[tuple[int, int], ...]]:
+        """The faces of a closed diagram, each as its corners (vertex, slot)
+        in walk order: across a corner's edge, then one slot on."""
+        _closed(self)
+        corners = [(v, s) for v in range(len(self.vertices)) for s in range(3)]
+        ends: dict = {}
+        for v, s in corners:
+            ends.setdefault(self.vertices[v][s], []).append((v, s))
+        step = {}
+        for (v, s), (w, t) in ends.values():
+            step[v, s], step[w, t] = (w, (t + 1) % 3), (v, (s + 1) % 3)
+        faces, seen = [], set()
+        for start in corners:
+            if start in seen:
                 continue
-            face = self.face_of(h)
+            face = [start]
+            while (corner := step[face[-1]]) != start:
+                face.append(corner)
             seen.update(face)
-            out.append(face)
-        return out
+            faces.append(tuple(face))
+        return faces
 
-    # -- local moves (closed graphs only) -------------------------------------
-
-    def _drop_halves(self, halves) -> None:
-        for h in halves:
-            self.twin.pop(h, None)
-            self.vertex_of.pop(h, None)
-
-    def find_tadpole(self):
-        """A half-edge of an edge from a vertex to itself, or None."""
-        return next((h for h in sorted(self.twin) if h in self.vertex_of
-                     and self.vertex_of[h] == self.vertex_of.get(self.twin[h])),
-                    None)
-
-    def find_bigons(self) -> list[tuple[int, ...]]:
-        return [f for f in self.faces()
-                if len(f) == 2
-                and self.vertex_of[f[0]] != self.vertex_of[f[1]]]
-
-    def find_triangles(self) -> list[tuple[int, ...]]:
-        return [f for f in self.faces()
-                if len(f) == 3 and len({self.vertex_of[h] for h in f}) == 3]
-
-    def pop_bigon(self, face: tuple[int, ...]) -> None:
-        """Collapse a two-sided face: remove its two vertices, splice the
-        two external strands (or close a circle if they coincide)."""
-        h1, h2 = face
-        u, v = self.vertex_of[h1], self.vertex_of[self.twin[h1]]
-        inner = {h1, h2, self.twin[h1], self.twin[h2]}
-        a = next(h for h in self.rot[u] if h not in inner)
-        b = next(h for h in self.rot[v] if h not in inner)
-        ta, tb = self.twin[a], self.twin[b]
-        self._drop_halves(inner | {a, b})
-        del self.rot[u], self.rot[v]
-        if ta == b:  # the third edge ran between u and v: a circle appears
-            self.circles += 1
-            return
-        self.twin[ta] = tb
-        self.twin[tb] = ta
-
-    def contract_triangle(self, face: tuple[int, ...]) -> None:
-        """Contract a three-sided face to a single vertex, keeping the three
-        external strands in face order."""
-        vs = [self.vertex_of[h] for h in face]
-        inner = set(face) | {self.twin[h] for h in face}
-        outer = [next(h for h in self.rot[v] if h not in inner) for v in vs]
-        self._drop_halves(inner)
-        for v in vs:
-            del self.rot[v]
-        w = self._next_v
-        self._next_v += 1
-        # the legs wind around the contracted vertex opposite to the face walk
-        self.rot[w] = tuple(reversed(outer))
-        for h in outer:
-            self.vertex_of[h] = w
+    def _replace_face(self, face, new=(), rename=None, circles=0) -> "TrivalentGraph":
+        """This diagram with the vertices of ``face`` replaced by ``new``,
+        edges renamed by ``rename`` and ``circles`` more loops."""
+        drop = {v for v, _ in face}
+        rename = rename or {}
+        kept = [tuple(rename.get(n, n) for n in names)
+                for v, names in enumerate(self.vertices) if v not in drop]
+        return TrivalentGraph(kept + list(new), (), self.circles + circles)
 
 
 def _closed(graph: TrivalentGraph) -> TrivalentGraph:
@@ -242,25 +149,33 @@ def _closed(graph: TrivalentGraph) -> TrivalentGraph:
 
 def _moves(g: TrivalentGraph, params: SkeinParams):
     """Every one-move reduction of a closed diagram with a vertex, as
-    (factor, reduced copy): each bigon pop, then each triangle contraction.
-    A tadpole yields only (0, empty diagram); a diagram with neither face
-    raises once the moves run out."""
-    if g.find_tadpole() is not None:
+    (factor, reduced diagram): each bigon pop, then each triangle
+    contraction.  A tadpole (a vertex listing one edge twice) yields only
+    (0, empty diagram); a diagram with neither face raises.
+
+    With no tadpole, the corners of a two- or three-sided face lie on
+    distinct vertices, and the edge leaving the face at corner (v, s) is
+    the one in slot s + 1 of v."""
+    if any(len(set(names)) < 3 for names in g.vertices):
         yield params.tower.zero(), TrivalentGraph()
         return
-    moved = False
-    for face in g.find_bigons():
-        h = g.copy()
-        h.pop_bigon(face)
-        moved = True
-        yield params.b, h
-    for face in g.find_triangles():
-        h = g.copy()
-        h.contract_triangle(face)
-        moved = True
-        yield params.t, h
-    if not moved:
+    faces = g.faces()
+    bigons = [f for f in faces if len(f) == 2]
+    triangles = [f for f in faces if len(f) == 3]
+    if not bigons and not triangles:
         raise SkeinReductionError("requires square-pop")
+
+    def outer(face):
+        return [g.vertices[v][(s + 1) % 3] for v, s in face]
+
+    for face in bigons:
+        # drop both vertices and splice the two outer edges, or close a
+        # circle when they are one edge
+        a, b = outer(face)
+        yield params.b, g._replace_face(face, rename={b: a}, circles=a == b)
+    for face in triangles:
+        # one vertex whose legs wind opposite to the face walk
+        yield params.t, g._replace_face(face, new=[outer(face)[::-1]])
 
 
 def evaluate_closed(graph: TrivalentGraph, params: SkeinParams) -> FieldScalar:
@@ -268,7 +183,7 @@ def evaluate_closed(graph: TrivalentGraph, params: SkeinParams) -> FieldScalar:
     time, and return its value."""
     g = _closed(graph)
     value = params.tower.one()
-    while g.rot:
+    while g.vertices:
         factor, g = next(_moves(g, params))
         value = value * factor
     return value * params.d ** g.circles
@@ -279,7 +194,7 @@ def evaluate_all_orders(graph: TrivalentGraph, params: SkeinParams) -> set[Field
     results: set[FieldScalar] = set()
 
     def go(g: TrivalentGraph, acc: FieldScalar):
-        if not g.rot:
+        if not g.vertices:
             results.add(acc * params.d ** g.circles)
             return
         for factor, h in _moves(g, params):
@@ -292,27 +207,7 @@ def evaluate_all_orders(graph: TrivalentGraph, params: SkeinParams) -> set[Field
 # ---------------------------------------------------------------------------
 # fixed diagrams
 
-def _diagram(vertices=(), boundary=(), circles: int = 0) -> TrivalentGraph:
-    """A diagram from named edges: each vertex lists its edges in cyclic
-    order, ``boundary`` the edges ending on the boundary in boundary order,
-    and every edge name occurs exactly twice."""
-    g = TrivalentGraph()
-    g.circles = circles
-    ends: dict[str, list[int]] = {}
-
-    def end(name: str) -> int:
-        h = g.half()
-        ends.setdefault(name, []).append(h)
-        return h
-
-    g.boundary = [end(name) for name in boundary]
-    for names in vertices:
-        g.vertex(*(end(name) for name in names))
-    for name, halves in ends.items():
-        if len(halves) != 2:
-            raise ValueError(f"edge {name!r} occurs {len(halves)} times, not twice")
-        g.edge(*halves)
-    return g.validate()
+_diagram = TrivalentGraph
 
 
 def circle_graph() -> TrivalentGraph:
@@ -369,33 +264,31 @@ def c4_basis() -> tuple[TrivalentGraph, TrivalentGraph, TrivalentGraph, Trivalen
 # pairing, Gram matrix, square popping
 
 def glue(x: TrivalentGraph, y: TrivalentGraph) -> TrivalentGraph:
-    """Glue the reflection of y onto x along matching boundary points."""
+    """Glue the reflection of y onto x along matching boundary points.
+
+    Edge names are tagged apart, 0 for x and 1 for y, and each boundary
+    pair joins its two edges under one name; a pair that is already one
+    edge closes a circle."""
     if len(x.boundary) != len(y.boundary):
         raise ValueError("boundary sizes differ")
-    g = x.copy()
     m = y.mirrored()
-    shift = g._next_h
-    vshift = g._next_v
-    for h, th in m.twin.items():
-        g.twin[h + shift] = th + shift
-    for v, rot in m.rot.items():
-        g.rot[v + vshift] = tuple(h + shift for h in rot)
-        for h in rot:
-            g.vertex_of[h + shift] = v + vshift
-    g.circles += m.circles
-    g._next_h += m._next_h
-    g._next_v += m._next_v
-    pairs = [(sx, sy + shift) for sx, sy in zip(x.boundary, m.boundary)]
-    g.boundary = []
-    for s, r in pairs:
-        a, b = g.twin[s], g.twin[r]
-        del g.twin[s], g.twin[r]
-        if a == r:  # the two stubs were already joined: a closed loop
-            g.circles += 1
-            continue
-        g.twin[a] = b
-        g.twin[b] = a
-    return g.validate()
+    alias: dict = {}
+
+    def name(n):
+        while n in alias:
+            n = alias[n]
+        return n
+
+    circles = x.circles + m.circles
+    for s, r in zip(x.boundary, m.boundary):
+        a, b = name((0, s)), name((1, r))
+        if a == b:
+            circles += 1
+        else:
+            alias[b] = a
+    vertices = [tuple(name((side, n)) for n in names)
+                for side, g in enumerate((x, m)) for names in g.vertices]
+    return TrivalentGraph(vertices, (), circles)
 
 
 def pair(x: TrivalentGraph, y: TrivalentGraph, params: SkeinParams) -> FieldScalar:

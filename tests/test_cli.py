@@ -233,11 +233,20 @@ def test_render_rejects_out_of_range_values(tmp_path):
     assert "outside" in proc.stderr
 
 
+SKEIN_REPORT = """\
+d=(3/2+1/2*r13)  # ~3.302775637732
+b=(3/2+1/2*r13)*rA  # ~1.817354021024
+t=(-7/6-1/6*r13)*rA  # ~-0.972618355475
+c1=(7/18+1/18*r13)  # ~0.589197293081
+c2^2=(-2/9+1/9*r13)  # c2 ~0.422367832775
+square-pop rederivation: cup=(7/18+1/18*r13) tri=(1/6+1/6*r13)*rA match=yes
+"""
+
+
 def test_skein_report():
     proc = run_cli("skein")
     assert proc.returncode == 0
-    assert "c1=(7/18+1/18*r13)" in proc.stdout
-    assert "match=yes" in proc.stdout
+    assert proc.stdout == SKEIN_REPORT
 
 
 def test_solve_fibonacci(tmp_path):

@@ -44,6 +44,13 @@ def test_pairings():
     assert pair(w2, w3, GENERIC).is_zero()
     # gluing the two bridged diagrams yields the tetrahedron
     assert pair(w3, w4, GENERIC) == t * b * d
+    # every Gram entry and the square's pairings, as exact values
+    q = GENERIC.tower.from_rational
+    assert gram_matrix(c4_basis(), GENERIC) == [
+        [q(9), q(3), q(6), q(0)], [q(3), q(9), q(0), q(6)],
+        [q(6), q(0), q(12), q(30)], [q(0), q(6), q(30), q(12)]]
+    assert [pair(square_graph(), w, GENERIC) for w in c4_basis()] == \
+        [q(12), q(12), q(150), q(150)]
 
 
 def test_gram_matrix_is_symmetric():
@@ -111,23 +118,11 @@ def test_triangle_constant_sign_regression():
 
 
 def _cube() -> TrivalentGraph:
-    g = TrivalentGraph()
-    halves = {}
-    for i in range(4):
-        for pair_ in ((("o", i), ("o", (i + 1) % 4)),
-                      (("i", i), ("i", (i + 1) % 4)),
-                      (("o", i), ("i", i))):
-            a, b = g.strand()
-            halves[pair_] = a
-            halves[(pair_[1], pair_[0])] = b
-    for i in range(4):
-        g.vertex(halves[(("o", i), ("o", (i + 1) % 4))],
-                 halves[(("o", i), ("o", (i - 1) % 4))],
-                 halves[(("o", i), ("i", i))])
-        g.vertex(halves[(("i", i), ("i", (i - 1) % 4))],
-                 halves[(("i", i), ("i", (i + 1) % 4))],
-                 halves[(("i", i), ("o", i))])
-    return g.validate()
+    """Outer 4-cycle o, inner 4-cycle i and four radial edges r; edge o{k}
+    joins outer vertices k and k+1, i{k} inner ones, r{k} the two k's."""
+    return _diagram([names for k in range(4) for names in
+                     ((f"o{k}", f"o{(k - 1) % 4}", f"r{k}"),
+                      (f"i{(k - 1) % 4}", f"i{k}", f"r{k}"))])
 
 
 def test_irreducible_graph_raises():
@@ -143,7 +138,8 @@ def test_boundary_graphs_are_not_closed():
 
 
 def test_all_orders_shares_the_closed_and_square_pop_checks():
-    for evaluate in (evaluate_closed, evaluate_all_orders):
+    for evaluate in (evaluate_closed, evaluate_all_orders,
+                     lambda g, _: g.faces()):
         with pytest.raises(ValueError, match="diagram has boundary points"):
             evaluate(basis_w3(), GENERIC)
     with pytest.raises(SkeinReductionError, match="requires square-pop"):
