@@ -259,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_table_flags(p):
-        p.add_argument("--builtin", default=None,
-                       help="built-in ring: h3, z3, fib, ising (default h3)")
-        p.add_argument("--dataset", default=None, help="data-set file to load")
+        table = p.add_mutually_exclusive_group()
+        table.add_argument("--builtin", default=None,
+                           help="built-in ring: h3, z3, fib, ising (default h3)")
+        table.add_argument("--dataset", default=None, help="data-set file to load")
 
     p = sub.add_parser("verify", help="run every check against a table")
     add_table_flags(p)

@@ -466,7 +466,7 @@ def _build_tower(name: str) -> TowerSpec:
     return TowerSpec(name, *_PRESETS[name])
 
 
-def named_constant(name: str, tower: TowerSpec | None = None) -> FieldScalar:
+def named_constant(name: str) -> FieldScalar:
     """Exact values of the constants used by the H3 data set.
 
     All of these live in the h3 tower: dRho = (3+r13)/2, A = 1/dRho,
@@ -475,9 +475,7 @@ def named_constant(name: str, tower: TowerSpec | None = None) -> FieldScalar:
     c1 = (r13+7)/18 and c2 = (1+r13)/(6*sqrt(dRho)) (whose square is
     (r13-2)/9).
     """
-    t = tower if tower is not None else tower_preset("h3")
-    if t is not tower_preset("h3"):
-        raise ValueError(f"constant {name!r} requires the h3 tower")
+    t = tower_preset("h3")
     r13 = t.gen(0)
     rA = t.gen(1)
     rE = t.gen(2)

@@ -1,8 +1,8 @@
 """Seeded constraint propagation for pentagon systems at desk scale.
 
 The solver seeds the theorem-forced entries (unit-label entries are 1; for
-h3 additionally the all-rho diagonal entry -B plus the two gauge-fixed
-square-pop relations), then repeats three exact steps until nothing moves:
+h3 additionally the all-rho diagonal entry -B), then repeats three exact
+steps until nothing moves:
 
   1. equations with a single unknown appearing linearly are solved;
   2. univariate equations of degree <= 2 are solved over the tower (two
@@ -12,16 +12,17 @@ square-pop relations), then repeats three exact steps until nothing moves:
      univariate conclusions without any Groebner machinery.
 
 Equations come from the pentagon instances, from the orthogonality of every
-block (row/column dot products), and for h3 from the registered square-pop
-constraints (valid in the data-set gauge only).  Branches are explored
+block (row/column dot products), and for h3 from the two square-pop
+relations (valid in the data-set gauge only).  Branches are explored
 depth-first; any equation with no unknowns and a nonzero constant kills its
 branch.  Every completed table is re-verified with the independent pentagon
 and orthogonality checkers before it is returned.
 
-The pentagon and orthogonality equations of a ring are compiled once per
-ring object, on first use, into a plan (:class:`_Plan`) of key positions in
-one flat array; a key's position in ``enumerate_fkeys`` order is also its
-id as an unknown.  A fold (:class:`_Fold`) keeps the outcome of every
+The pentagon and orthogonality equations and the square-pop relations of
+a ring are compiled once per ring object, on first use, into a plan
+(:class:`_Plan`) of key positions; a key's position in ``enumerate_fkeys``
+order is also its id as an unknown.  A round reads only the plan and the
+current knowns.  A fold (:class:`_Fold`) keeps the outcome of every
 equation over one assignment in plan order: dropped, an equation over the
 unknowns, or a contradiction.  Each propagation round moves the fold to the
 current knowns, re-folding only the equations that read a key whose value
@@ -36,10 +37,11 @@ import copy
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
-                       gauss_jordan, named_constant, render_scalar)
+                       gauss_jordan, named_constant)
 from .fsymbols import FSymbolTable
 from .fusionring import (FKey, FusionRing, builtin_ring, enumerate_fkeys,
                          f_blocks, is_h3)
@@ -53,14 +55,13 @@ Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> co
 class PartialTable:
     ring: FusionRing
     known: dict[FKey, FieldScalar]
-    gauge_log: list[str] = field(default_factory=list)
     # the equations folded over an earlier state of ``known`` (set by
     # propagate), from which the next propagate re-folds only what changed
     _fold: "_Fold | None" = field(default=None, init=False, repr=False,
                                   compare=False)
 
     def copy(self) -> "PartialTable":
-        out = PartialTable(self.ring, dict(self.known), list(self.gauge_log))
+        out = PartialTable(self.ring, dict(self.known))
         out._fold = self._fold
         return out
 
@@ -97,30 +98,23 @@ class SolveReport:
 
 
 def seed(ring: FusionRing) -> PartialTable:
-    """Theorem-forced initial assignments in the data-set gauge."""
-    one = ring.tower.one()
-    known: dict[FKey, FieldScalar] = {}
-    log: list[str] = []
-    keys = enumerate_fkeys(ring)
-    if ring.is_pointed():
-        for k in keys:
-            known[k] = one
-        log.append("pointed ring: trivial cocycle gauge, every entry 1")
-    else:
-        for k in keys:
-            if ring.unit in (k.a, k.b, k.c):
-                known[k] = one
-        log.append("unit-label vertices normalized: unit-label entries set to 1")
+    """Theorem-forced initial assignments in the data-set gauge: every entry
+    of a pointed ring (the trivial cocycle gauge) and every unit-label entry
+    of another is 1; the all-rho diagonal entry of h3 is -B (the skein
+    triangle value)."""
+    one, pointed = ring.tower.one(), ring.is_pointed()
+    known = {k: one for k in enumerate_fkeys(ring)
+             if pointed or ring.unit in (k.a, k.b, k.c)}
     if is_h3(ring):
         r = ring.label("r")
         known[FKey(r, r, r, r, r, r)] = -named_constant("B")
-        log.append("all-rho diagonal entry fixed to -B (skein triangle value)")
-        log.append("square-pop relations registered (data-set gauge)")
-    return PartialTable(ring, known, log)
+    return PartialTable(ring, known)
 
 
 _PENTAGON_CONTRADICTION = "nonzero residual on a fully-known pentagon instance"
 _KNOWN_CONTRADICTION = "fully-known equation has nonzero residual"
+# an equation with more unknowns than this is left out of a round
+_MAX_UNKNOWNS = 4
 
 
 class _Plan:
@@ -132,7 +126,10 @@ class _Plan:
     in instance order, each with its two left-hand keys and then three keys
     per summand, as in the pentagon sweep's own plan; then, block by block,
     the row and column orthogonality equations, each with its pairs of keys
-    and, when it is listed in ``diagonal``, a constant -1.
+    and, when it is listed in ``diagonal``, a constant -1.  The square-pop
+    relations (:func:`_square_pop_relations`) follow as ``registered``, each
+    its left-hand side and then its right-hand terms subtracted, as
+    (factor, positions, negated) terms.
     """
 
     def __init__(self, ring: FusionRing):
@@ -163,63 +160,53 @@ class _Plan:
         self.offsets = offsets
         self.diagonal = frozenset(diagonal)
         self.n_equations = len(offsets) - 1
+        self.registered = [
+            [(factor, tuple(pos[k] for k in ks), negated)
+             for negated, terms in ((False, [lhs]), (True, rhs))
+             for factor, *ks in terms]
+            for lhs, rhs in _square_pop_relations(ring).values()]
         self.one = ring.tower.one()
-        self._by_key: list[array] | None = None
+
+    @cached_property
+    def _by_key(self) -> list[array]:
+        """For each key position, the equations and then the registered
+        relations (numbered after the equations) that read it."""
+        by_key = [array("I") for _ in self.keys]
+        slots, offsets = self.slots, self.offsets
+        for i in range(self.n_equations):
+            for p in set(slots[offsets[i]:offsets[i + 1]]):
+                by_key[p].append(i)
+        for i, terms in enumerate(self.registered, start=self.n_equations):
+            for p in {p for _, positions, _ in terms for p in positions}:
+                by_key[p].append(i)
+        return by_key
 
     def equations_of(self, positions) -> set[int]:
-        """The equations that read any of the given key positions."""
-        if self._by_key is None:
-            by_key = [array("I") for _ in self.keys]
-            slots, offsets = self.slots, self.offsets
-            for i in range(self.n_equations):
-                for p in set(slots[offsets[i]:offsets[i + 1]]):
-                    by_key[p].append(i)
-            self._by_key = by_key
+        """The equations and relations that read any of the given keys."""
         out: set[int] = set()
         for p in positions:
             out.update(self._by_key[p])
         return out
 
 
-@_per_ring
-def _plan(ring: FusionRing) -> _Plan:
-    return _Plan(ring)
-
-
-def _compiled_term(plan: _Plan, items, negated: bool):
-    """A product of field constants and keys as (factor, positions, negated)."""
-    factor = None
-    positions = []
-    for item in items:
-        if isinstance(item, FieldScalar):
-            factor = item if factor is None else factor * item
-        else:
-            positions.append(plan.keys.index(item))
-    return factor, tuple(positions), negated
+_plan = _per_ring(_Plan)
 
 
 class _Fold:
-    """The outcome of every equation of a plan, plus the registered
-    constraints, over one assignment, kept in plan order.
+    """The outcome of every equation of a plan, its registered relations
+    last, over one assignment, kept in plan order.
 
     An outcome is None (no equation: it cancels or has more than
-    ``max_unknowns`` unknowns), an equation (Poly) or a contradiction
+    ``_MAX_UNKNOWNS`` unknowns), an equation (Poly) or a contradiction
     message.  :meth:`updated` re-folds only the equations that read a key
     whose value changed, so the outcomes always equal those of a fold from
     scratch.
     """
 
-    __slots__ = ("plan", "registered", "max_unknowns", "values", "outcomes")
+    __slots__ = ("plan", "values", "outcomes")
 
-    def __init__(self, plan: _Plan, registered, max_unknowns: int):
+    def __init__(self, plan: _Plan):
         self.plan = plan
-        self.max_unknowns = max_unknowns
-        # each constraint as (factor, positions, negated) terms: its
-        # left-hand side, then its right-hand terms subtracted
-        self.registered = [
-            [_compiled_term(plan, items, negated)
-             for items, negated in [(lhs, False)] + [(t, True) for t in rhs]]
-            for lhs, rhs in registered]
         self.values: list[FieldScalar | None] = []
         self.outcomes: list | None = None
 
@@ -227,22 +214,18 @@ class _Fold:
         """This fold moved to ``known``; self is left as it is."""
         plan = self.plan
         values = [known.get(k) for k in plan.keys]
-        n_plan = plan.n_equations
+        n = plan.n_equations + len(plan.registered)
         if self.outcomes is None:
-            touched = range(n_plan + len(self.registered))
+            touched = range(n)
         else:
             changed = {p for p, (v, w) in enumerate(zip(values, self.values))
                        if v is not w}
             if not changed:
                 return self
             touched = plan.equations_of(changed)
-            touched.update(
-                n_plan + r for r, terms in enumerate(self.registered)
-                if any(p in changed for _, pos, _ in terms for p in pos))
         new = copy.copy(self)
         new.values = values
-        new.outcomes = ([None] * (n_plan + len(self.registered))
-                        if self.outcomes is None else list(self.outcomes))
+        new.outcomes = [None] * n if self.outcomes is None else list(self.outcomes)
         for i in touched:
             new.outcomes[i] = new._fold(i)
         return new
@@ -256,7 +239,7 @@ class _Fold:
             sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
             if i < plan.n_pentagon:
                 n_unknown = [values[p] is None for p in sl].count(True)
-                if n_unknown > self.max_unknowns:
+                if n_unknown > _MAX_UNKNOWNS:
                     return None
                 terms = [(None, sl[:2], False)] + [
                     (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
@@ -264,7 +247,7 @@ class _Fold:
                 terms = [(None, sl[k:k + 2], False) for k in range(0, len(sl), 2)]
                 diagonal = i in plan.diagonal
         else:
-            terms = self.registered[i - plan.n_equations]
+            terms = plan.registered[i - plan.n_equations]
         poly: Poly = {}
         for factor, positions, negated in terms:
             coeff = factor
@@ -288,7 +271,7 @@ class _Fold:
         if not unknowns:
             return (_PENTAGON_CONTRADICTION if n_unknown == 0
                     else _KNOWN_CONTRADICTION)
-        if len(unknowns) > self.max_unknowns:
+        if len(unknowns) > _MAX_UNKNOWNS:
             return None
         return poly
 
@@ -296,17 +279,16 @@ class _Fold:
 class _System:
     """Equations of one propagation round, folded over the current knowns.
 
-    The equations are the outcomes of ``fold`` (a :class:`_Fold` of the same
-    registered constraints and bound over an earlier assignment, or a fold
-    from scratch when it is None) moved to the partial table's knowns; the
-    moved fold is ``self.fold``.
+    The equations are the outcomes of ``fold`` (a :class:`_Fold` of the
+    ring's plan over an earlier assignment, or a fold from scratch when it
+    is None) moved to the partial table's knowns; the moved fold is
+    ``self.fold``.
     """
 
-    def __init__(self, partial: PartialTable, registered,
-                 max_unknowns: int = 4, fold: _Fold | None = None):
+    def __init__(self, partial: PartialTable, fold: _Fold | None = None):
         self.ring = partial.ring
         if fold is None:
-            fold = _Fold(_plan(self.ring), registered, max_unknowns)
+            fold = _Fold(_plan(self.ring))
         self.fold = fold.updated(partial.known)
         self.unknown_keys = self.fold.plan.keys
         outcomes = self.fold.outcomes
@@ -429,15 +411,8 @@ def _is_one_dim(ring: FusionRing, key: FKey) -> bool:
     return len(ring.e_labels(key.a, key.b, key.c, key.u)) == 1
 
 
-def _registered_constraints(ring: FusionRing):
-    """Extra per-ring constraints as (left-hand side, right-hand terms), each
-    a product of field constants and keys: for h3 the two square-pop
-    relations, gauge-fixed to the data-set gauge."""
-    return list(_square_pop_relations(ring).values())
-
-
-def propagate(partial: PartialTable, max_rounds: int | None = None,
-              max_unknowns: int = 4) -> tuple[PartialTable, SolveReport]:
+def propagate(partial: PartialTable,
+              max_rounds: int | None = None) -> tuple[PartialTable, SolveReport]:
     """Deterministic fixpoint of the three propagation steps (no branching).
 
     The returned report carries the per-round resolution counts; branch
@@ -446,16 +421,13 @@ def propagate(partial: PartialTable, max_rounds: int | None = None,
     """
     partial = partial.copy()
     ring = partial.ring
-    registered = _registered_constraints(ring)
     fold = partial._fold
-    if fold is not None and fold.max_unknowns != max_unknowns:
-        fold = None
     report = SolveReport(ring=ring.name, seeds=len(partial.known))
     start = time.monotonic()
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
         rounds += 1
-        system = _System(partial, registered, max_unknowns, fold)
+        system = _System(partial, fold)
         fold = system.fold
         if system.contradiction:
             report.contradiction = system.contradiction
@@ -552,8 +524,6 @@ def solve(ring, max_branch_nodes: int | None = None,
         for value in reversed(roots):
             branch = state.copy()
             branch.known[key] = value
-            branch.gauge_log.append(
-                f"branch {ring.describe(key)} = {render_scalar(value)}")
             stack.append(branch)
 
     if first_report is not None:

@@ -120,6 +120,14 @@ def test_missing_file_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_builtin_and_dataset_together_are_a_usage_error(tmp_path):
+    proc = run_cli("verify", "--builtin", "h3",
+                   "--dataset", str(tmp_path / "fib.fsym"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not allowed with argument" in proc.stderr
+
+
 def test_unwritable_out_is_an_input_error(tmp_path):
     out = str(tmp_path / "missing" / "x")
     for args in (("render", "--out", out), ("export", "--out", out),

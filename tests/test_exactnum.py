@@ -232,8 +232,6 @@ def test_named_constants(h3):
     assert named_constant("c2") ** 2 == (r13 - 2) / 9
     with pytest.raises(ValueError):
         named_constant("zeta")
-    with pytest.raises(ValueError):
-        named_constant("A", tower_preset("ising"))
 
 
 def test_approx_values(h3):

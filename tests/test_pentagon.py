@@ -10,7 +10,7 @@ from operator import mul
 
 import pytest
 
-from fusioncat.exactnum import (ParamScalar, TowerSpec, named_constant,
+from fusioncat.exactnum import (ParamScalar, named_constant,
                                 render_scalar, tower_preset)
 from fusioncat.fsymbols import GaugeAssignment, all_ones_table, build_h3_table
 from fusioncat.fusionring import (FKey, _group_ring, builtin_ring,
@@ -551,8 +551,6 @@ def test_a_ring_named_h3_is_not_treated_as_h3():
     assert len(tables) == 1 and tables[0].entries == solve("z3")[0].entries
     with pytest.raises(ValueError, match="seed values are specific to the h3"):
         check_seeds(all_ones_table(impostor))
-    with pytest.raises(ValueError, match="requires the h3 tower"):
-        named_constant("B", TowerSpec("h3", (), ()))
 
 
 @pytest.mark.parametrize("name", RING_NAMES)

@@ -7,7 +7,8 @@ from fusioncat import solver
 from fusioncat.exactnum import FieldScalar
 from fusioncat.fsymbols import all_ones_table, build_h3_table
 from fusioncat.fusionring import FKey, builtin_ring, enumerate_fkeys
-from fusioncat.pentagon import _raw_instances, verify_all
+from fusioncat.pentagon import (_raw_instances, _square_pop_relations,
+                                verify_all)
 from fusioncat.solver import (PartialTable, _System, compare_to_dataset,
                               propagate, seed, solve)
 
@@ -48,7 +49,12 @@ def _orthogonal_blocks(ring, block_keys, atoms):
 
 def _oracle_tables(name, atoms_for_block):
     """Brute-force solutions: unit entries 1, one-dim entries +-1, the 2x2
-    block orthogonal over the candidate atoms, filtered by the pentagon."""
+    block orthogonal over the candidate atoms, filtered by the pentagon.
+
+    The one-dim entries are assigned one at a time, and each pentagon
+    instance is checked as soon as the last of them that it reads is set
+    (an instance reading none, with the block), so a failing partial
+    assignment is dropped with every completion of it."""
     ring = builtin_ring(name)
     one = ring.tower.one()
     keys = enumerate_fkeys(ring)
@@ -63,15 +69,29 @@ def _oracle_tables(name, atoms_for_block):
             singles.append(k)
     assert len(blocks) == 1
     block_keys = sorted(next(iter(blocks.values())), key=lambda k: k.sort_key)
-    instances = _pentagon_keys(ring)
+    # checks[i]: the instances whose last one-dim entry is singles[i - 1]
+    depth = {k: i for i, k in enumerate(singles, start=1)}
+    checks = [[] for _ in range(len(singles) + 1)]
+    for inst in _pentagon_keys(ring):
+        (k1, k2), summands = inst
+        read = [k1, k2, *(k for summand in summands for k in summand)]
+        checks[max(depth.get(k, 0) for k in read)].append(inst)
     solutions = []
+
+    def extend(values, i):
+        if not _pentagon_holds(checks[i], values):
+            return
+        if i == len(singles):
+            solutions.append(dict(values))
+            return
+        for sign in (one, -one):
+            values[singles[i]] = sign
+            extend(values, i + 1)
+
     for block in _orthogonal_blocks(ring, block_keys, atoms_for_block):
-        for signs in product((one, -one), repeat=len(singles)):
-            values = {k: one for k in unit_keys}
-            values.update(block)
-            values.update(zip(singles, signs))
-            if _pentagon_holds(instances, values):
-                solutions.append(values)
+        values = {k: one for k in unit_keys}
+        values.update(block)
+        extend(values, 0)
     return ring, solutions
 
 
@@ -197,7 +217,7 @@ def test_elimination_uses_each_pivot_row_once():
     # x0 = -7/4, x1 = 3/4, x2 = -1/4; reusing a pivot row would bring a
     # cleared unknown back into the other rows
     z3 = builtin_ring("z3_pointed")
-    system = _System(seed(z3), [])
+    system = _System(seed(z3))
     q = z3.tower.from_rational
     equations = [{(0,): q(1), (1,): q(1), (): q(1)},
                  {(0,): q(1), (2,): q(1), (): q(2)},
@@ -224,10 +244,9 @@ def _checked_systems(monkeypatch):
     original = solver._System
 
     class Checked(original):
-        def __init__(self, partial, registered, max_unknowns=4, fold=None):
-            super().__init__(partial, registered, max_unknowns, fold)
-            fresh = original(PartialTable(partial.ring, dict(partial.known)),
-                             registered, max_unknowns)
+        def __init__(self, partial, fold=None):
+            super().__init__(partial, fold)
+            fresh = original(PartialTable(partial.ring, dict(partial.known)))
             assert _system_rows(self) == _system_rows(fresh)
             assert self.fold.outcomes == fresh.fold.outcomes
             assert self.unknown_keys == fresh.unknown_keys
@@ -250,10 +269,9 @@ def test_incremental_fold_matches_fold_from_scratch(monkeypatch):
     state, report = propagate(seed(h3), max_rounds=1)
     assert built == [False] and report.contradiction is None
     # h3 from the empty assignment to the seeds: 173 keys change at once
-    registered = solver._registered_constraints(h3)
-    empty = _System(PartialTable(h3, {}), registered)
-    moved = _System(seed(h3), registered, 4, empty.fold)
-    fresh = _System(seed(h3), registered)
+    empty = _System(PartialTable(h3, {}))
+    moved = _System(seed(h3), empty.fold)
+    fresh = _System(seed(h3))
     assert _system_rows(moved) == _system_rows(fresh)
     assert moved.fold.outcomes == fresh.fold.outcomes
     assert empty.fold.outcomes != moved.fold.outcomes
@@ -270,6 +288,28 @@ def test_solver_search_is_pinned():
 
 def test_system_builds_from_a_partial_table_alone():
     z3 = builtin_ring("z3_pointed")
-    system = _System(seed(z3), [])
+    system = _System(seed(z3))
     assert system.equations == [] and system.contradiction is None
     assert list(system.unknown_keys) == enumerate_fkeys(z3)
+
+
+def test_square_pop_relations_in_the_plan_hold_and_catch_a_sign():
+    # the 8 keys of the two relations at their data-set values (+1, +1):
+    # both relations fold away, and negating any one key's value makes that
+    # key's own relation a contradiction and leaves the other one holding
+    h3 = builtin_ring("h3")
+    entries = build_h3_table().entries
+    relations = [[k for _, *ks in (lhs, *rhs) for k in ks]
+                 for lhs, rhs in _square_pop_relations(h3).values()]
+    values = {k: entries[k].substitute(1, 1) for keys in relations for k in keys}
+    assert len(values) == 8
+    system = _System(PartialTable(h3, values))
+    n = system.fold.plan.n_equations
+    assert system.fold.outcomes[n:] == [None, None]
+    for own, keys in enumerate(relations):
+        for k in keys:
+            flipped = _System(PartialTable(h3, {**values, k: -values[k]}),
+                              system.fold)
+            outcomes = flipped.fold.outcomes[n:]
+            assert isinstance(outcomes[own], str)
+            assert outcomes[1 - own] is None
