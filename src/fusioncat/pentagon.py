@@ -13,9 +13,11 @@ the residual is
 with t running over the labels admissible for all three right-hand keys.
 Everything is evaluated exactly, symbolically in the sign parameters.
 
-The bulk sweeps split what depends on the ring from what depends on the
-table.  Once per ring object, each sweep's checks are compiled into a plan
-of key positions (:class:`_Plan`).  Once per table, the values are compiled
+The sweeps split what depends on the ring from what depends on the table.
+Once per ring object, each sweep's checks are compiled into a plan of key
+positions (:class:`_Plan`); a check is named by its number in the plan, and
+the mutation probe sweeps the pentagon checks that read its key one at a
+time, by those numbers.  Once per table, the values are compiled
 into integer coefficients over one denominator times interned primitive
 field directions, listed by key position, with the products of two and
 three directions memoized as integer tower coordinates packed into one
@@ -34,7 +36,7 @@ import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce, wraps
-from itertools import accumulate, chain, islice, product
+from itertools import chain, islice, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -187,12 +189,13 @@ class _Plan(NamedTuple):
     """The checks of one sweep over one ring, in sweep order, as positions
     into a kernel's value list (see :class:`_Kernel`): check ``i`` reads two
     left-hand values and then three per summand, ``counts[i]`` summands, from
-    the flat array ``slots``.  ``trivial[i]`` holds a pentagon instance's
-    triviality bits (1: unit rule, 2: identical rule); other sweeps have
-    none."""
+    the flat array ``slots``, starting at ``starts[i]``; ``starts`` ends with
+    ``len(slots)``.  ``trivial[i]`` holds a pentagon instance's triviality
+    bits (1: unit rule, 2: identical rule); other sweeps have none."""
 
     slots: array
     counts: array
+    starts: array
     trivial: bytearray
 
 
@@ -201,11 +204,12 @@ def _pentagon_plan(ring: FusionRing) -> _Plan:
     """Every pentagon instance in enumeration order, its keys (as
     :func:`_instance_keys` lists them) by position in ``enumerate_fkeys``."""
     pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
-    plan = _Plan(array("H"), array("B"), bytearray())
+    plan = _Plan(array("H"), array("B"), array("I", [0]), bytearray())
     unit = ring.unit
     for tup in _raw_instances(ring):
         plan.slots.extend(map(pos.__getitem__, _instance_keys(tup)))
         plan.counts.append(len(tup[9]))
+        plan.starts.append(len(plan.slots))
         plan.trivial.append(_trivial_bits(unit, tup))
     return plan
 
@@ -218,7 +222,7 @@ def _additional_plan(ring: FusionRing) -> _Plan:
     pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
     star = len(pos)
     N, fus = ring._n, ring._fusion
-    plan = _Plan(array("H"), array("B"), bytearray())
+    plan = _Plan(array("H"), array("B"), array("I", [0]), bytearray())
     put = plan.slots.append
     for a, x1 in product(range(len(ring)), repeat=2):
         for x3, x2 in product(fus[(a, x1)], range(len(ring))):
@@ -236,16 +240,15 @@ def _additional_plan(ring: FusionRing) -> _Plan:
                             put(star + pos[x1, x2, c, s, x4, b])
                             put(star + pos[a, b, c, u, s, y])
                         plan.counts.append(len(ss))
+                        plan.starts.append(len(plan.slots))
     return plan
 
 
 def _failing(ring: FusionRing, plan: _Plan, nonzero) -> list:
     """The two left-hand keys and the accumulator of every nonzero check."""
-    if not nonzero:  # the offsets below are a list as long as the plan
-        return []
     keys = enumerate_fkeys(ring) * 2  # starred positions repeat the keys
-    at = list(accumulate((2 + 3 * n for n in plan.counts), initial=0))
-    return [(keys[plan.slots[at[i]]], keys[plan.slots[at[i] + 1]], acc)
+    slots, starts = plan.slots, plan.starts
+    return [(keys[slots[starts[i]]], keys[slots[starts[i] + 1]], acc)
             for i, acc in nonzero]
 
 
@@ -370,9 +373,6 @@ class _Kernel:
         keys = enumerate_fkeys(table.ring)
         self.values = [compiled[id(entries[k])]
                        for entries in maps for k in keys]
-        # the table's own entries by key; a plain label tuple finds the same
-        # entry, because FKey is a tuple and hashes and compares like one
-        self.by_key = dict(zip(keys, self.values))
         # a plan check sums over the labels of one fusion product
         width = self.width = self._width(
             max(map(len, table.ring._fusion.values())), compiled.values())
@@ -443,16 +443,6 @@ class _Kernel:
                         acc[m12 ^ m3] -= n12 * n3 * row[d3]
         return acc
 
-    def pentagon(self, inst_tuple) -> list[int]:
-        """Accumulator of the pentagon residual of one raw instance."""
-        f1, f2, *rest = map(self.by_key.__getitem__,
-                            _instance_keys(inst_tuple))
-        return self.accumulate(f1, f2, zip(*[iter(rest)] * 3))
-
-    @staticmethod
-    def is_zero(acc: list[int]) -> bool:
-        return not any(acc)
-
     def scalar(self, acc: list[int]) -> ParamScalar:
         """The residual an accumulator holds, as a sign polynomial."""
         scale = self.den_l ** 3 * self.dirs.den_b
@@ -462,18 +452,16 @@ class _Kernel:
                 scale)
             for m, packed in enumerate(acc) if packed})
 
-    def residual_scalar(self, inst_tuple) -> ParamScalar:
-        """The pentagon residual rebuilt from the integer accumulator."""
-        return self.scalar(self.pentagon(inst_tuple))
-
 
 def _sweep(kernel: _Kernel, plan: _Plan, start: int, stop: int,
            mask: int = 0) -> list:
     """(check index, accumulator) for every nonzero residual among checks
     ``start`` to ``stop`` of a plan, skipping those whose bits meet mask."""
     counts, trivial = plan.counts, plan.trivial
+    # a memoryview slice starts at check ``start`` without reading the
+    # slots before it, so a one-check sweep costs one check
     it = map(kernel.values.__getitem__,
-             islice(plan.slots, 2 * start + 3 * sum(counts[:start]), None))
+             memoryview(plan.slots)[plan.starts[start]:plan.starts[stop]])
     triples = zip(it, it, it)
     nonzero = []
     for i in range(start, stop):
@@ -590,7 +578,8 @@ def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
 @_per_ring
 def key_instance_index(ring: FusionRing) -> tuple[list, dict[FKey, list[int]]]:
     """Raw instance tuples in enumeration order, and a map FKey -> ascending
-    positions of the instances that read it; built once per ring object."""
+    positions of the instances that read it, which are also their check
+    numbers in the pentagon plan; built once per ring object."""
     instances = list(_raw_instances(ring))
     index: dict[tuple, list[int]] = {}
     for pos, tup in enumerate(instances):
@@ -601,13 +590,16 @@ def key_instance_index(ring: FusionRing) -> tuple[list, dict[FKey, list[int]]]:
 
 def find_failing_instance(table: FSymbolTable,
                           key: FKey) -> PentagonInstance | None:
-    """First pentagon instance touching ``key`` with a nonzero residual."""
+    """First pentagon instance touching ``key`` with a nonzero residual:
+    each instance the index lists for the key is swept as one check of the
+    pentagon plan, whose check numbers are the index's positions."""
+    if key not in table.entries:
+        raise KeyError(f"inadmissible key {key}")
     instances, index = key_instance_index(table.ring)
-    kernel = _Kernel(table)
-    for pos in index.get(key, ()):
-        tup = instances[pos]
-        if not kernel.is_zero(kernel.pentagon(tup)):
-            return PentagonInstance._make(tup)
+    kernel, plan = _Kernel(table), _pentagon_plan(table.ring)
+    for i in index.get(key, ()):
+        if _sweep(kernel, plan, i, i + 1):
+            return PentagonInstance._make(instances[i])
     return None
 
 

@@ -38,7 +38,6 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant)
@@ -115,6 +114,8 @@ _PENTAGON_CONTRADICTION = "nonzero residual on a fully-known pentagon instance"
 _KNOWN_CONTRADICTION = "fully-known equation has nonzero residual"
 # an equation with more unknowns than this is left out of a round
 _MAX_UNKNOWNS = 4
+# the most branch nodes :func:`solve` explores; for h3 it explores none
+_MAX_BRANCH_NODES = 4096
 
 
 class _Plan:
@@ -137,8 +138,7 @@ class _Plan:
         pos = {k: i for i, k in enumerate(self.keys)}
         pentagon = _pentagon_plan(ring)
         slots = array("H", pentagon.slots)
-        offsets = array("I", accumulate((2 + 3 * n for n in pentagon.counts),
-                                        initial=0))
+        offsets = array("I", pentagon.starts)
         self.n_pentagon = len(offsets) - 1
         diagonal = []
         for blk in f_blocks(ring):
@@ -481,19 +481,17 @@ def _verified(table: FSymbolTable) -> bool:
             and table.check_orthogonality().passed)
 
 
-def solve(ring, max_branch_nodes: int | None = None,
-          with_report: bool = False):
+def solve(ring, with_report: bool = False):
     """Seed, propagate and branch until every surviving assignment is total.
 
     Returns the list of fully solved, independently re-verified tables
     (``with_report=True`` additionally returns the SolveReport of the first
-    exploration path).  For h3 the default is propagation only, reflecting
-    that the full solve is a stretch far beyond desk scale.
+    exploration path).  For h3 it only propagates, reflecting that the full
+    solve is a stretch far beyond desk scale.
     """
     if isinstance(ring, str):
         ring = builtin_ring(ring)
-    if max_branch_nodes is None:
-        max_branch_nodes = 0 if is_h3(ring) else 4096
+    max_branch_nodes = 0 if is_h3(ring) else _MAX_BRANCH_NODES
     t0 = time.monotonic()
     tables: list[FSymbolTable] = []
     seen: set = set()

@@ -25,7 +25,7 @@ from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan,
                                 _Directions, _Kernel,
                                 _field_matrix_inverse, _invert_param_matrix,
                                 _is_identical, _pentagon_plan, _raw_instances,
-                                _sign_factors, _unpack)
+                                _sign_factors, _sweep, _unpack)
 from fusioncat.solver import solve
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
@@ -88,12 +88,27 @@ def test_residual_examples(table, h3):
         assert residual(inst, ones).is_zero()
 
 
+def _by_labels(kernel, ring):
+    """The pentagon accumulator of a raw instance tuple, its values read by
+    labels from a key -> compiled value map built once per kernel."""
+    V = dict(zip(enumerate_fkeys(ring), kernel.values))
+
+    def accumulate(tup):
+        x, y, z, w, u, a, b, c, d, esum = tup
+        return kernel.accumulate(
+            V[(x, y, c, u, d, a)], V[(a, z, w, u, c, b)],
+            [(V[(y, z, w, d, c, t)], V[(x, t, w, u, d, b)], V[(x, y, z, b, t, a)])
+             for t in esum])
+    return accumulate
+
+
 def test_kernel_matches_reference_residual(table, h3):
     rng = random.Random(17)
     kernel = _Kernel(table)
+    by_labels = _by_labels(kernel, h3)
     for inst in rng.sample(list(enumerate_instances(h3)), 40):
         tup = inst.labels + (inst.e_sum,)
-        assert kernel.residual_scalar(tup) == residual(inst, table)
+        assert kernel.scalar(by_labels(tup)) == residual(inst, table)
 
 
 def test_verify_all_h3(table):
@@ -200,11 +215,13 @@ def test_gauge_invariance_spot(table, h3):
 def _assert_kernel_agrees(table, tuples):
     """Kernel verdict and rebuilt residual equal the reference residual."""
     kernel = _Kernel(table)
+    by_labels = _by_labels(kernel, table.ring)
     nonzero = 0
     for tup in tuples:
         ref = residual(PentagonInstance(*tup[:9], e_sum=tup[9]), table)
-        assert kernel.is_zero(kernel.pentagon(tup)) == ref.is_zero()
-        assert kernel.residual_scalar(tup) == ref
+        acc = by_labels(tup)
+        assert (not any(acc)) == ref.is_zero()
+        assert kernel.scalar(acc) == ref
         nonzero += not ref.is_zero()
     return nonzero
 
@@ -257,12 +274,14 @@ def test_packed_decoding_of_negative_coordinates(table, h3):
     key = rng.choice(sorted(index))
     mutated = negate_entry(gauged, key)
     kernel = _Kernel(mutated)
+    by_labels = _by_labels(kernel, h3)
     lowest = 0
     for pos in rng.sample(index[key], 30):
         tup = instances[pos]
         want = residual(PentagonInstance(*tup[:9], e_sum=tup[9]), mutated)
-        assert kernel.residual_scalar(tup) == want
-        for packed in kernel.pentagon(tup):
+        acc = by_labels(tup)
+        assert kernel.scalar(acc) == want
+        for packed in acc:
             lowest = min(lowest, *_unpack(packed, kernel.width, h3.tower.degree))
     assert lowest < -2 ** 30
 
@@ -592,6 +611,7 @@ def _reference_verify(table, rule):
     ring = table.ring
     unit = ring.unit
     kernel = _Kernel(table)
+    by_labels = _by_labels(kernel, ring)
     rep = VerifyReport(rule=rule)
     use_unit = rule in ("unit", "both")
     use_ident = rule in ("identical", "both")
@@ -601,9 +621,9 @@ def _reference_verify(table, rule):
                 or (use_ident and _is_identical(unit, tup))):
             rep.trivial += 1
             continue
-        if not kernel.is_zero(kernel.pentagon(tup)):
-            expr = render_scalar(kernel.residual_scalar(tup))
-            rep.failures.append((tup[:9], expr))
+        acc = by_labels(tup)
+        if any(acc):
+            rep.failures.append((tup[:9], render_scalar(kernel.scalar(acc))))
     return rep
 
 
@@ -640,7 +660,7 @@ def _reference_additional(table):
                                              for s in fus[(x1, x4)]
                                              if N[a][s][u] and N[b][c][s]])
                                         checked += 1
-                                        if not kernel.is_zero(acc):
+                                        if any(acc):
                                             failures.append(
                                                 f"a={a} x1={x1} x2={x2} x3={x3} "
                                                 f"x4={x4} c={c} u={u} b={b} y={y}")
@@ -662,6 +682,30 @@ def _assert_sweeps_match_reference(tab, rules):
     add = check_additional(tab)
     assert (add.checked, add.failures) == _reference_additional(tab)
     return got_failures + len(add.failures)
+
+
+def test_plan_starts_open_each_check(table, h3):
+    """``starts`` opens every check of both plans, and a one-check sweep from
+    it gives the full sweep's verdict on that check, nonzero or absent."""
+    mutated = table
+    for key in random.Random(5150).sample(_four_dim_keys(h3), 4):
+        mutated = negate_entry(mutated, key)
+    rng = random.Random(2718)
+    for plan, kernel in (
+            (_pentagon_plan(h3), _Kernel(mutated)),
+            (_additional_plan(h3),
+             _Kernel(mutated, starred=starred_entries(mutated)))):
+        starts, counts = plan.starts, plan.counts
+        assert starts[0] == 0 and starts[-1] == len(plan.slots)
+        assert [b - a for a, b in zip(starts, starts[1:])] == [
+            2 + 3 * n for n in counts]
+        full = dict(_sweep(kernel, plan, 0, len(counts)))
+        assert full
+        sample = (rng.sample(range(len(counts)), 200)
+                  + rng.sample(sorted(full), 20) + [0, len(counts) - 1])
+        for i in sample:
+            assert _sweep(kernel, plan, i, i + 1) == (
+                [(i, full[i])] if i in full else []), i
 
 
 def test_plan_sweeps_match_reference_loops_small_rings():
@@ -808,7 +852,6 @@ def test_kernel_compiles_each_distinct_value_once(table, h3):
         assert kernel.den_l == den_l
         assert kernel.dirs.prims == prims
         assert kernel.width == width
-        assert kernel.by_key == dict(zip(enumerate_fkeys(h3), values))
     assert _Kernel(unshared).values == _Kernel(table).values
 
 
@@ -847,8 +890,9 @@ def test_probes_match_the_reference_scan(table, h3):
 def test_negate_entry_rejects_a_key_the_table_lacks(table):
     key = FKey(0, 0, 0, 0, 1, 1)
     assert key not in table.entries
-    with pytest.raises(KeyError, match=r"inadmissible key FKey\(a=0, b=0"):
-        negate_entry(table, key)
+    for call in (negate_entry, find_failing_instance):
+        with pytest.raises(KeyError, match=r"inadmissible key FKey\(a=0, b=0"):
+            call(table, key)
 
 
 def _reference_starred(tab):
