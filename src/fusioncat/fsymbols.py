@@ -16,20 +16,21 @@ The data set holds few distinct values (1431 entries, 51 distinct expression
 texts), so ``parse``, ``serialize`` and ``substitute_params`` work out each
 distinct value once per call (``parse`` in a dict keyed by the text, the
 others in a ``functools.cache`` made for the call) and let the entries share
-the resulting immutable scalars.  The checks build on that sharing:
-``check_orthogonality`` and the starred-block inversion work once per
-distinct block matrix, and the exact kernel once per distinct value object.
+the resulting immutable scalars.  The checks build on that sharing: a table
+proves F Ft = I and inverts each distinct block matrix at most once
+(``FSymbolTable.block_orthogonal`` and ``block_inverse``), and the exact
+kernel works once per distinct value object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable
 
-from .exactnum import (FieldScalar, ParamScalar, ScalarParseError, parse_scalar,
-                       render_scalar)
+from .exactnum import (FieldScalar, ParamScalar, ScalarParseError, gauss_jordan,
+                       parse_scalar, render_scalar)
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, f_blocks
 
 HEADER = "h3fsym v1"
@@ -92,7 +93,13 @@ class BlockReport:
 
 
 class FSymbolTable:
-    """A total map from admissible keys to exact scalar values."""
+    """A total map from admissible keys to exact scalar values.
+
+    A table is never mutated after construction: ``entries`` is not assigned
+    into, and every edit returns a new table.  The per-block results
+    (:attr:`block_orthogonal`, :attr:`block_inverse`) are kept on the table
+    on that ground, and are freed with it.
+    """
 
     def __init__(self, ring: FusionRing, entries: dict[FKey, ParamScalar]):
         self.ring = ring
@@ -112,15 +119,16 @@ class FSymbolTable:
             raise KeyError(f"inadmissible key {key}")
         return self.entries[key]
 
-    def f_matrix(self, a, b, c, u) -> list[list[ParamScalar]]:
-        """The block as a matrix; rows run over e labels, columns over f."""
+    def f_matrix(self, a, b, c, u) -> tuple[tuple[ParamScalar, ...], ...]:
+        """The block as a tuple of rows; rows run over e labels, columns over f."""
         r = self.ring
         a, b, c, u = (r.label(x) for x in (a, b, c, u))
         es = r.e_labels(a, b, c, u)
         fs = r.f_labels(a, b, c, u)
         if not es:
             raise ValueError(f"no admissible entries for block ({a},{b},{c};{u})")
-        return [[self.entries[FKey(a, b, c, u, e, f)] for f in fs] for e in es]
+        return tuple(tuple(self.entries[FKey(a, b, c, u, e, f)] for f in fs)
+                     for e in es)
 
     def map_entries(self, fn: Callable[[FKey, ParamScalar], ParamScalar]) -> "FSymbolTable":
         return FSymbolTable(self.ring, {k: fn(k, v) for k, v in self.entries.items()})
@@ -147,30 +155,32 @@ class FSymbolTable:
         at = cache(lambda v: ParamScalar.from_field(v.substitute(p1, p2)))
         return self.map_entries(lambda k, v: at(v))
 
+    @cached_property
+    def block_orthogonal(self) -> Callable[[tuple], bool]:
+        """F Ft = I (:func:`_is_orthogonal`) for a block matrix F as
+        :meth:`f_matrix` gives it; evaluated once per distinct matrix."""
+        return cache(partial(_is_orthogonal, self.ring.tower))
+
+    @cached_property
+    def block_inverse(self) -> Callable[[tuple], list]:
+        """A block matrix's inverse, once per distinct matrix: Ft, sharing
+        F's entries, where :attr:`block_orthogonal` holds, and otherwise
+        :func:`_invert_param_matrix` (ValueError if singular)."""
+        orthogonal, tower = self.block_orthogonal, self.ring.tower
+        return cache(lambda m: [list(col) for col in zip(*m)] if orthogonal(m)
+                     else _invert_param_matrix(tower, m))
+
     def check_orthogonality(self) -> BlockReport:
         """F Ft = Ft F = identity, exactly and symbolically, per block.
 
-        Only F Ft is formed.  The sign polynomials form a commutative ring,
-        so F Ft = I gives det F * det Ft = 1: F is invertible with inverse
-        Ft, and Ft F = I follows.  Each distinct block matrix is checked
-        once per call.
-        """
-        report = BlockReport("orthogonality")
-        one = self.ring.tower.one()
-        zero = ParamScalar.from_field(self.ring.tower.zero())
-
-        @cache
-        def orthogonal(m: tuple) -> bool:
-            d = len(m)
-            return all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
-                       == (one if i == j else 0)
-                       for i in range(d) for j in range(i, d))
-
+        Only F Ft is formed (:attr:`block_orthogonal`).  The sign polynomials
+        form a commutative ring, so F Ft = I gives det F * det Ft = 1: F is
+        invertible with inverse Ft, and Ft F = I follows."""
+        report, t = BlockReport("orthogonality"), self.ring.token
         for blk in f_blocks(self.ring):
             report.checked += 1
-            if not orthogonal(tuple(map(tuple, self.f_matrix(
-                    blk.a, blk.b, blk.c, blk.u)))):
-                t = self.ring.token
+            if not self.block_orthogonal(
+                    self.f_matrix(blk.a, blk.b, blk.c, blk.u)):
                 report.failures.append(
                     f"block ({t(blk.a)},{t(blk.b)},{t(blk.c)};{t(blk.u)})")
         return report
@@ -191,6 +201,91 @@ class FSymbolTable:
         if not isinstance(other, FSymbolTable):
             return NotImplemented
         return self.ring is other.ring and self.entries == other.entries
+
+
+# ---------------------------------------------------------------------------
+# block orthogonality and inverses: a block whose sign monomials factor into
+# row times column signs, as all the data set's do, needs field arithmetic only
+
+
+def _sign_factors(m):
+    """Row and column sign monomials (as in :class:`ParamScalar`) such that
+    every nonzero ``m[r][c]`` is ``row[r] * col[c]`` times a field value, or
+    None when an entry has several terms or the monomials do not factor."""
+    n = len(m)
+    if any(len(v.terms) > 1 for row in m for v in row):
+        return None
+    mono = {(r, c): s for r, row in enumerate(m)
+            for c, v in enumerate(row) for s in v.terms}
+    # walk the graph of nonzero entries (column c is node n + c), XOR-ing signs
+    sign = [None] * (2 * n)
+    for start in (r for r in range(n) if sign[r] is None):
+        sign[start], todo = 0, [start]
+        while todo:
+            k = todo.pop()
+            for o in range(n):
+                s = mono.get((k, o) if k < n else (o, k - n))
+                nb = n + o if k < n else o
+                if s is not None and sign[nb] is None:
+                    sign[nb] = sign[k] ^ s
+                    todo.append(nb)
+                elif s is not None and sign[nb] != sign[k] ^ s:
+                    return None
+    return sign[:n], [s or 0 for s in sign[n:]]
+
+
+def _is_orthogonal(tower, m) -> bool:
+    """F Ft = I for a square matrix over the sign polynomials, stopping at
+    the first entry that differs.  When :func:`_sign_factors` writes m as
+    D_row C D_col, F Ft = D_row C Ct D_row, which is I exactly when C Ct is,
+    so only field products are formed."""
+    zero = tower.zero()
+    if _sign_factors(m) is None:
+        zero = ParamScalar.from_field(zero)
+    else:
+        m = [[next(iter(v.terms.values()), zero) for v in row] for row in m]
+    d, one = len(m), tower.one()
+    return all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
+               == (one if i == j else zero)
+               for i in range(d) for j in range(i, d))
+
+
+def _field_matrix_inverse(tower, m):
+    """Inverse of a matrix over the field, by reducing [m | I]."""
+    n = len(m)
+    rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
+            | {n + i: tower.one()} for i, row in enumerate(m)]
+    pivots = gauss_jordan(rows, range(n))
+    if len(pivots) < n:
+        raise ValueError("block matrix is singular")
+    return [[pivots[r].get(n + c, tower.zero()) for c in range(n)]
+            for r in range(n)]
+
+
+def _invert_param_matrix(tower, m):
+    """Exact inverse of a matrix over the ring of p1/p2 sign polynomials.
+
+    If :func:`_sign_factors` writes m as D_row C D_col (C over the field, the
+    D diagonal sign monomials, each its own inverse), the inverse is
+    D_col C^-1 D_row: one field inversion, entry (i, j) taking the monomial
+    ``cols[i] ^ rows[j]``.  Otherwise (an entry like 1 + p1, or monomials
+    that do not factor) each distinct substituted matrix is inverted once and
+    every entry is read back from its four pointwise inverses by
+    :meth:`ParamScalar.from_points`.
+    """
+    if (factors := _sign_factors(m)) is not None:
+        (rows, cols), zero = factors, tower.zero()
+        inv = _field_matrix_inverse(tower, [
+            [next(iter(v.terms.values()), zero) for v in row] for row in m])
+        return [[ParamScalar(tower, {cols[i] ^ rows[j]: x})
+                 for j, x in enumerate(row)] for i, row in enumerate(inv)]
+    invert = cache(partial(_field_matrix_inverse, tower))
+    at = {(s1, s2): invert(tuple(tuple(v.substitute(s1, s2) for v in row)
+                                 for row in m))
+          for s1 in (1, -1) for s2 in (1, -1)}
+    return [[ParamScalar.from_points(
+                tower, {point: inv[r][c] for point, inv in at.items()})
+             for c in range(len(m))] for r in range(len(m))]
 
 
 class DatasetParseError(ValueError):

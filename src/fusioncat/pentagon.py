@@ -35,14 +35,13 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce, wraps
+from functools import reduce, wraps
 from itertools import chain, islice, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .exactnum import (FieldScalar, ParamScalar, gauss_jordan, named_constant,
-                       render_scalar)
+from .exactnum import FieldScalar, ParamScalar, named_constant, render_scalar
 from .fsymbols import FSymbolTable, BlockReport
 from .fusionring import FKey, FusionRing, enumerate_fkeys, f_blocks, is_h3
 
@@ -95,9 +94,12 @@ def _raw_instances(ring: FusionRing):
     N = ring._n
     fus = ring._fusion
     rng = range(n)
+    # one shared tuple per distinct e_sum: h3 has 10 among 41391 instances
+    esums: dict[tuple, tuple] = {}
     for x, y in product(rng, repeat=2):
         a_cands = fus[(x, y)]
         for z in rng:
+            yz = fus[(y, z)]
             for w in rng:
                 zw = fus[(z, w)]
                 for u in rng:
@@ -113,10 +115,10 @@ def _raw_instances(ring: FusionRing):
                                 for d in fus[(y, c)]:
                                     if not N[x][d][u]:
                                         continue
-                                    esum = tuple(
-                                        t for t in fus[(y, z)]
-                                        if N[t][w][d] and N[x][t][b])
-                                    yield (x, y, z, w, u, a, b, c, d, esum)
+                                    esum = tuple(t for t in yz
+                                                 if N[t][w][d] and N[x][t][b])
+                                    yield (x, y, z, w, u, a, b, c, d,
+                                           esums.setdefault(esum, esum))
 
 
 def _is_identical(unit: int, tup) -> bool:
@@ -604,77 +606,9 @@ def find_failing_instance(table: FSymbolTable,
 
 
 # ---------------------------------------------------------------------------
-# starred (adjoint) entries
-#
-# The starred matrix is the inverse.  In the data set's gauge every block is
-# real orthogonal, so the inverse is just the transpose there, but a gauged
-# table is no longer orthogonal and only the inverse keeps the identities
-# below gauge invariant.  A block whose sign monomials factor into row times
-# column signs, as all the data set's do, needs one field inversion, not four.
-
-
-def _field_matrix_inverse(tower, m):
-    """Inverse of a matrix over the field, by reducing [m | I]."""
-    n = len(m)
-    rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
-            | {n + i: tower.one()} for i, row in enumerate(m)]
-    pivots = gauss_jordan(rows, range(n))
-    if len(pivots) < n:
-        raise ValueError("block matrix is singular")
-    return [[pivots[r].get(n + c, tower.zero()) for c in range(n)]
-            for r in range(n)]
-
-
-def _sign_factors(m):
-    """Row and column sign monomials (as in :class:`ParamScalar`) such that
-    every nonzero ``m[r][c]`` is ``row[r] * col[c]`` times a field value, or
-    None when an entry has several terms or the monomials do not factor."""
-    n = len(m)
-    if any(len(v.terms) > 1 for row in m for v in row):
-        return None
-    mono = {(r, c): s for r, row in enumerate(m)
-            for c, v in enumerate(row) for s in v.terms}
-    # walk the graph of nonzero entries (column c is node n + c), XOR-ing signs
-    sign = [None] * (2 * n)
-    for start in (r for r in range(n) if sign[r] is None):
-        sign[start], todo = 0, [start]
-        while todo:
-            k = todo.pop()
-            for o in range(n):
-                s = mono.get((k, o) if k < n else (o, k - n))
-                nb = n + o if k < n else o
-                if s is not None and sign[nb] is None:
-                    sign[nb] = sign[k] ^ s
-                    todo.append(nb)
-                elif s is not None and sign[nb] != sign[k] ^ s:
-                    return None
-    return sign[:n], [s or 0 for s in sign[n:]]
-
-
-def _invert_param_matrix(tower, m):
-    """Exact inverse of a matrix over the ring of p1/p2 sign polynomials.
-
-    If :func:`_sign_factors` writes m as D_row C D_col (C over the field, the
-    D diagonal sign monomials, each its own inverse), the inverse is
-    D_col C^-1 D_row: one field inversion, entry (i, j) taking the monomial
-    ``cols[i] ^ rows[j]``.  Otherwise (an entry like 1 + p1, or monomials
-    that do not factor) each distinct substituted matrix is inverted once and
-    every entry is read back from its four pointwise inverses by
-    :meth:`ParamScalar.from_points`.
-    """
-    if (factors := _sign_factors(m)) is not None:
-        rows, cols = factors
-        inv = _field_matrix_inverse(tower, [
-            [next(iter(v.terms.values()), tower.zero()) for v in row] for row in m])
-        return [[ParamScalar(tower, {cols[i] ^ rows[j]: x})
-                 for j, x in enumerate(row)] for i, row in enumerate(inv)]
-    invert = cache(partial(_field_matrix_inverse, tower))
-    at = {(s1, s2): invert(tuple(tuple(v.substitute(s1, s2) for v in row)
-                                 for row in m))
-          for s1 in (1, -1) for s2 in (1, -1)}
-    return [[ParamScalar.from_points(
-                tower, {point: inv[r][c] for point, inv in at.items()})
-             for c in range(len(m))] for r in range(len(m))]
+# starred (adjoint) entries: a block's starred matrix is its inverse, which
+# only keeps the identities below invariant under a gauge that breaks
+# orthogonality; in the data set's gauge it is the transpose
 
 
 def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
@@ -683,25 +617,21 @@ def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
     Addressed by the same keys as the table itself, so the starred factor
     (F_u^{abc})*_{f e} is ``starred[key(a, b, c, u, e, f)]``.  A singular
     block raises ValueError naming it.  Each distinct block matrix is
-    inverted once per call, and blocks of equal matrices share the entries
+    inverted once per table, and blocks of equal matrices share the entries
     of its inverse.
     """
     out: dict[FKey, ParamScalar] = {}
-    invert = cache(partial(_invert_param_matrix, table.ring.tower))
     for blk in f_blocks(table.ring):
-        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u, invert))
+        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u))
     return out
 
 
-def _starred_block(table: FSymbolTable, a: int, b: int, c: int, u: int,
-                   invert) -> dict[FKey, ParamScalar]:
-    """The starred entries of one block, keyed as in :func:`starred_entries`;
-    ``invert`` maps a block matrix, a tuple of row tuples, to its inverse
-    (as :func:`_invert_param_matrix` in the ring's tower)."""
+def _starred_block(table: FSymbolTable, a: int, b: int, c: int,
+                   u: int) -> dict[FKey, ParamScalar]:
+    """The starred entries of one block, keyed as in :func:`starred_entries`."""
     ring = table.ring
-    m = tuple(map(tuple, table.f_matrix(a, b, c, u)))
     try:
-        inv = invert(m)
+        inv = table.block_inverse(table.f_matrix(a, b, c, u))
     except ValueError as exc:
         t = ring.token
         raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None
@@ -805,8 +735,7 @@ def check_addtriv(table: FSymbolTable) -> BlockReport:
     g = table.entries
     r = ring.label("r")
     try:
-        starred = _starred_block(table, r, r, r, r,
-                                 partial(_invert_param_matrix, ring.tower))
+        starred = _starred_block(table, r, r, r, r)
     except ValueError as exc:
         report.failures.append(str(exc))
         return report

@@ -12,7 +12,7 @@ from fusioncat.exactnum import (MAX_NESTING_DEPTH, FieldScalar, ParamScalar,
                                 TowerSpec, gauss_jordan, is_zero, named_constant,
                                 param_mul, param_substitute, parse_scalar,
                                 render_scalar, tower_preset)
-from fusioncat.pentagon import _invert_param_matrix
+from fusioncat.fsymbols import _invert_param_matrix
 
 
 # ---------------------------------------------------------------------------

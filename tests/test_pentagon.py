@@ -1,10 +1,12 @@
 """Pentagon enumeration and the exact verification sweeps."""
 
+import gc
 import multiprocessing
 import random
+import weakref
 from fractions import Fraction
-from functools import reduce
-from itertools import islice, product, starmap
+from functools import cache, reduce
+from itertools import chain, islice, permutations, product, starmap
 from math import lcm
 from operator import mul
 
@@ -12,7 +14,10 @@ import pytest
 
 from fusioncat.exactnum import (ParamScalar, named_constant,
                                 render_scalar, tower_preset)
-from fusioncat.fsymbols import GaugeAssignment, all_ones_table, build_h3_table
+from fusioncat import fsymbols
+from fusioncat.fsymbols import (FSymbolTable, GaugeAssignment,
+                                _field_matrix_inverse, _invert_param_matrix,
+                                _sign_factors, all_ones_table, build_h3_table)
 from fusioncat.fusionring import (FKey, _group_ring, builtin_ring,
                                   enumerate_fkeys, f_blocks)
 from fusioncat.pentagon import (PentagonInstance, VerifyReport,
@@ -22,10 +27,8 @@ from fusioncat.pentagon import (PentagonInstance, VerifyReport,
                                 key_instance_index, negate_entry, residual,
                                 starred_entries, verify_all)
 from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan,
-                                _Directions, _Kernel,
-                                _field_matrix_inverse, _invert_param_matrix,
-                                _is_identical, _pentagon_plan, _raw_instances,
-                                _sign_factors, _sweep, _unpack)
+                                _Directions, _Kernel, _is_identical,
+                                _pentagon_plan, _raw_instances, _sweep, _unpack)
 from fusioncat.solver import solve
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
@@ -935,3 +938,119 @@ def test_shared_singular_block_names_the_first_in_block_order(table, h3):
         starred_entries(broken)
     assert str(err.value) == f"block matrix is singular: {name}"
     assert check_additional(broken).failures == [str(err.value)]
+
+
+def _planted_table(table, h3):
+    """The data set with four blocks replaced by the kinds of matrix the
+    four-point tests above use: a 3x3 whose monomials do not factor, an
+    orthogonal 3x3 with two-term entries, a 3x3 with unit rows that is not
+    orthogonal, and the factoring mixed-monomial 2x2 of
+    test_sign_factors_and_the_four_point_fallback next to a 2x2 identity in
+    a 4x4."""
+    tower = h3.tower
+    p1 = ParamScalar.param(tower, 1)
+    p2 = ParamScalar.param(tower, 2)
+    one = ParamScalar.from_field(tower.one())
+    zero = ParamScalar.from_field(tower.zero())
+    r13 = ParamScalar.from_field(tower.gen(0))
+    e, f = (one + p1) * Fraction(1, 2), (one - p1) * Fraction(1, 2)
+    c, s = one * Fraction(3, 5), one * Fraction(4, 5)
+    matrices = [[[one, one, zero], [zero, one, one], [p1 * 2, zero, one]],
+                [[e, f, zero], [f, e, zero], [zero, zero, one]],
+                [[one, zero, zero], [c, s, zero], [zero, zero, one]],
+                [[r13 * p1, p2, zero, zero], [one, p1 * p2 * 3, zero, zero],
+                 [zero, zero, one, zero], [zero, zero, zero, one]]]
+    blocks = [b for b in f_blocks(h3) if b.dim == 3][:3]
+    blocks.append(next(b for b in f_blocks(h3) if b.dim == 4))
+    planted = {k: v for blk, m in zip(blocks, matrices)
+               for k, v in zip(blk.keys(), chain.from_iterable(m))}
+    return table.map_entries(lambda k, v: planted.get(k, v))
+
+
+def _reference_orthogonal(m) -> bool:
+    """F Ft = I, every entry formed over the sign polynomials."""
+    d = len(m)
+    zero = ParamScalar.from_field(m[0][0].tower.zero())
+    return all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
+               == (1 if i == j else 0) for i in range(d) for j in range(d))
+
+
+def test_block_inverse_matches_the_four_point_reference(table, h3):
+    tower = h3.tower
+    reference = cache(lambda m: _reference_invert_param_matrix(tower, m))
+    planted = _planted_table(table, h3)
+    tables = [table, table.substitute_params(1, -1),
+              table.apply_gauge(_random_gauge(h3, random.Random(2024))),
+              planted]
+    kinds = set()
+    for tab in tables:
+        tab = tab.map_entries(lambda k, v: v)  # no per-block results yet
+        for blk in f_blocks(h3):
+            m = tab.f_matrix(blk.a, blk.b, blk.c, blk.u)
+            assert tab.block_inverse(m) == reference(m), blk
+            assert tab.block_orthogonal(m) == _reference_orthogonal(m), blk
+            kinds.add((_sign_factors(m) is not None, tab.block_orthogonal(m)))
+    # factoring and not, orthogonal and not, all met
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    # the orthogonality report is the reference per-block loop
+    t = h3.token
+    twos = table.map_entries(lambda k, v: v * 2)
+    for tab in tables[2:] + [twos]:
+        assert tab.check_orthogonality().failures == [
+            f"block ({t(blk.a)},{t(blk.b)},{t(blk.c)};{t(blk.u)})"
+            for blk in f_blocks(h3)
+            if not _reference_orthogonal(tab.f_matrix(blk.a, blk.b, blk.c, blk.u))]
+
+
+def test_block_checks_do_not_depend_on_call_order(table, h3):
+    checks = (FSymbolTable.check_orthogonality, check_addtriv, check_additional)
+    gauged = table.apply_gauge(_random_gauge(h3, random.Random(2024)))
+    for base in (table, gauged, _planted_table(table, h3)):
+        runs = []
+        for order in (checks, checks[::-1]):
+            tab = base.map_entries(lambda k, v: v)
+            runs.append({check: check(tab) for check in order})
+        assert runs[0] == runs[1]
+    # singular blocks are reported alike whichever check inverts them first
+    zero = ParamScalar.from_field(h3.tower.zero())
+    r = h3.label("r")
+    all_zero = table.map_entries(lambda k, v: zero)
+    rho_zero = table.map_entries(
+        lambda k, v: zero if k[:4] == (r, r, r, r) else v)
+    for base, first in ((all_zero, "(1,1,1;1)"), (rho_zero, "(r,r,r;r)")):
+        for order in permutations((check_addtriv, check_additional)):
+            tab = base.map_entries(lambda k, v: v)
+            got = {check: check(tab).failures for check in order}
+            assert got == {check_addtriv: ["block matrix is singular: (r,r,r;r)"],
+                           check_additional: [f"block matrix is singular: {first}"]}
+
+
+def test_data_set_blocks_need_no_elimination_and_results_die_with_the_table(
+        table, h3, monkeypatch):
+    calls = []
+    eliminate = fsymbols._field_matrix_inverse
+    monkeypatch.setattr(fsymbols, "_field_matrix_inverse",
+                        lambda *args: calls.append(args) or eliminate(*args))
+    checks = (FSymbolTable.check_orthogonality, check_triangle, check_seeds,
+              check_addtriv, check_additional)
+    for tab in [table] + [table.substitute_params(p1, p2)
+                          for p1 in (1, -1) for p2 in (1, -1)]:
+        tab = tab.map_entries(lambda k, v: v)
+        assert all(check(tab).passed for check in checks)
+    assert calls == []
+    gauged = table.apply_gauge(_random_gauge(h3, random.Random(2024)))
+    assert not gauged.check_orthogonality().passed
+    assert calls == []
+    # the inverses of the gauged blocks do take elimination, and are kept on
+    # the table only: a weak reference to it dies with it
+    assert check_additional(gauged).passed and calls
+    dead = weakref.ref(gauged)
+    del gauged
+    gc.collect()
+    assert dead() is None
+
+
+def test_raw_instances_share_each_distinct_e_sum(h3):
+    esums = [tup[9] for tup in _raw_instances(h3)]
+    assert len(esums) == 41391
+    assert len({id(e) for e in esums}) == len(set(esums)) == 10
