@@ -15,17 +15,19 @@ Everything is evaluated exactly, symbolically in the sign parameters.
 
 The sweeps split what depends on the ring from what depends on the table.
 Once per ring object, each sweep's checks are compiled into a plan of key
-positions (:class:`_Plan`); a check is named by its number in the plan, and
-the mutation probe sweeps the pentagon checks that read its key one at a
-time, by those numbers.  Once per table, the values are compiled
-into integer coefficients over one denominator times interned primitive
-field directions, listed by key position, with the products of two and
-three directions memoized as integer tower coordinates packed into one
-integer, a fixed number of bits per coordinate.  A residual is then one
-integer multiply-add per term into four packed accumulators, one per sign
-monomial.  The field width comes from a bound on every coordinate a residual
-of the table can reach, so an accumulator is zero exactly when all its
-coordinates are; no rational arithmetic runs per instance.
+positions (:class:`_Plan`); a check is named by its number in the plan.  The
+key -> instance index keeps only those numbers, and reads an instance back
+from the pentagon plan's slots; the mutation probe sweeps the pentagon
+checks that read its key one at a time, by those numbers.  Once per table,
+the values are compiled into integer coefficients over one denominator
+times interned primitive field directions, listed by key position, with
+the products of two and three directions memoized as integer tower
+coordinates packed into one integer, a fixed number of bits per
+coordinate.  A residual is then one integer multiply-add per term into
+four packed accumulators, one per sign monomial.  The field width comes
+from a bound on every coordinate a residual of the table can reach, so an
+accumulator is zero exactly when all its coordinates are; no rational
+arithmetic runs per instance.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ import os
 import time
 import weakref
 from array import array
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce, wraps
+from functools import partial, reduce, wraps
 from itertools import chain, islice, product
 from math import gcd, lcm
 from operator import mul
@@ -176,7 +180,11 @@ def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
 # per-ring plans
 
 def _per_ring(build):
-    """``build(ring)``, computed once per ring object and dropped with it."""
+    """``build(ring)``, computed once per ring object and dropped with it.
+
+    The cache holds its values strongly, so a value must not hold its ring
+    strongly (hold a ``weakref`` to it, or only what is read): a value that
+    does keeps its ring, and itself, alive for the process."""
     cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @wraps(build)
@@ -577,24 +585,61 @@ def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
     return FSymbolTable(table.ring, entries)
 
 
+class _Instances(Sequence):
+    """The pentagon instances of one ring in enumeration order, read back
+    from its pentagon plan (built on first read): item ``i`` equals the
+    ``i``-th tuple of :func:`_raw_instances`.  The ring is held weakly, so
+    a per-ring cache may keep the view (see :func:`_per_ring`)."""
+
+    __slots__ = ("_ring", "_len")
+
+    def __init__(self, ring: FusionRing, count: int):
+        self._ring = weakref.ref(ring)
+        self._len = count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("instance index out of range")
+        ring = self._ring()
+        if ring is None:
+            raise ReferenceError("the ring of these instances is gone")
+        plan, keys = _pentagon_plan(ring), ring._fkeys
+        slots, start = plan.slots, plan.starts[i]
+        # the first two keys of a check, then each summand's first key
+        x, y, c, u, d, a = keys[slots[start]]
+        _, z, w, _, _, b = keys[slots[start + 1]]
+        esum = tuple(keys[slots[s]].f
+                     for s in range(start + 2, plan.starts[i + 1], 3))
+        return (x, y, z, w, u, a, b, c, d, esum)
+
+
 @_per_ring
-def key_instance_index(ring: FusionRing) -> tuple[list, dict[FKey, list[int]]]:
-    """Raw instance tuples in enumeration order, and a map FKey -> ascending
-    positions of the instances that read it, which are also their check
-    numbers in the pentagon plan; built once per ring object."""
-    instances = list(_raw_instances(ring))
-    index: dict[tuple, list[int]] = {}
-    for pos, tup in enumerate(instances):
+def key_instance_index(ring: FusionRing) -> tuple[Sequence[tuple],
+                                                  dict[FKey, array]]:
+    """The raw instance tuples in enumeration order, as a read-only view
+    over the pentagon plan, and a map FKey -> ``array('I')`` of the
+    ascending check numbers of the instances that read it, which are also
+    their positions in the view; built once per ring object, without
+    building the plan."""
+    index: defaultdict[tuple, array] = defaultdict(partial(array, "I"))
+    pos = -1
+    for pos, tup in enumerate(_raw_instances(ring)):
         for k in set(_instance_keys(tup)):
-            index.setdefault(k, []).append(pos)
-    return instances, {FKey._make(k): v for k, v in index.items()}
+            index[k].append(pos)
+    return (_Instances(ring, pos + 1),
+            {FKey._make(k): v for k, v in index.items()})
 
 
 def find_failing_instance(table: FSymbolTable,
                           key: FKey) -> PentagonInstance | None:
     """First pentagon instance touching ``key`` with a nonzero residual:
-    each instance the index lists for the key is swept as one check of the
-    pentagon plan, whose check numbers are the index's positions."""
+    each check number the index lists for the key is swept as one check of
+    the pentagon plan."""
     if key not in table.entries:
         raise KeyError(f"inadmissible key {key}")
     instances, index = key_instance_index(table.ring)

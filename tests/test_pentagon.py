@@ -3,7 +3,9 @@
 import gc
 import multiprocessing
 import random
+import tracemalloc
 import weakref
+from array import array
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, islice, permutations, product, starmap
@@ -542,9 +544,10 @@ def test_key_instance_index_matches_reference():
             for k in set(keys):
                 ref_index.setdefault(k, []).append(pos)
         instances, index = key_instance_index(ring)
-        assert instances == ref_instances
+        assert list(instances) == ref_instances
         # same keys in the same order, with the same positions
-        assert list(index.items()) == list(ref_index.items())
+        assert ([(k, list(v)) for k, v in index.items()]
+                == list(ref_index.items()))
         assert all(type(k) is FKey for k in index)
 
 
@@ -554,8 +557,8 @@ def test_index_cache_is_per_ring_object():
                            [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
                            tower_preset("rationals"))
     instances, index = key_instance_index(impostor)
-    assert instances == [inst.labels + (inst.e_sum,)
-                         for inst in enumerate_instances(impostor)]
+    assert list(instances) == [inst.labels + (inst.e_sum,)
+                               for inst in enumerate_instances(impostor)]
     assert len(instances) == 81
     key = FKey(1, 1, 1, 0, 2, 2)
     assert key in enumerate_fkeys(impostor)
@@ -563,6 +566,55 @@ def test_index_cache_is_per_ring_object():
         negate_entry(all_ones_table(impostor), key), key)
     assert inst is not None and key in inst.keys()
     assert len(key_instance_index(builtin_ring("h3"))[0]) == 41391
+
+
+def test_index_holds_its_ring_weakly():
+    impostor = _group_ring("h3", [("1", "1"), ("α", "a"), ("α*", "as")],
+                           [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                           tower_preset("rationals"))
+    ring_ref = weakref.ref(impostor)
+    instances, index = key_instance_index(impostor)
+    key = FKey(1, 1, 1, 0, 2, 2)
+    assert find_failing_instance(
+        negate_entry(all_ones_table(impostor), key), key) is not None
+    assert instances[0] == next(_raw_instances(impostor))
+    del impostor
+    gc.collect()
+    assert ring_ref() is None
+    with pytest.raises(ReferenceError):
+        instances[0]
+
+
+@pytest.mark.parametrize("name,count", [("fibonacci", 47), ("ising", 132),
+                                        ("h3", 41391)])
+def test_instance_view_reads_the_stream(name, count):
+    ring = builtin_ring(name)
+    stream = list(_raw_instances(ring))
+    instances, index = key_instance_index(ring)
+    assert len(instances) == len(stream) == count
+    assert all(instances[i] == tup for i, tup in enumerate(stream))
+    assert instances[-1] == stream[-1]
+    with pytest.raises(IndexError):
+        instances[len(instances)]
+    assert list(iter(instances)) == stream
+    for positions in index.values():
+        assert type(positions) is array and positions.typecode == "I"
+        assert all(p < q for p, q in zip(positions, positions[1:]))
+
+
+def test_index_memory_stays_small(h3):
+    """The index keeps check numbers only: a second copy of the h3
+    instances, as tuples and boxed positions, takes about 9.4 MB."""
+    key_instance_index(h3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = key_instance_index.__wrapped__(h3)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held[0]) == 41391
+    assert size < 3_000_000
 
 
 def test_a_ring_named_h3_is_not_treated_as_h3():
