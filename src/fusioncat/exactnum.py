@@ -295,8 +295,11 @@ class FieldScalar:
                 and self._den == other._den)
 
     def __hash__(self):
+        # a rational value equals its int or Fraction, so it hashes as one
         if self._hash is None:
-            self._hash = hash((self.tower.name, self._num, self._den))
+            self._hash = (hash(Fraction(self._num[0], self._den))
+                          if not any(self._num[1:])
+                          else hash((self.tower.name, self._num, self._den)))
         return self._hash
 
     def is_zero(self) -> bool:
@@ -667,6 +670,9 @@ class ParamScalar:
         return self.tower is other.tower and self.terms == other.terms
 
     def __hash__(self):
+        # a value with no sign monomial equals its field coefficient
+        if self.is_field():
+            return hash(self.terms.get(0, 0))
         return hash((self.tower.name, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:

@@ -112,8 +112,6 @@ def _raw_instances(ring: FusionRing):
                         if not cs:
                             continue
                         bs = [b for b in fus[(a, z)] if N[b][w][u]]
-                        if not bs:
-                            continue
                         for b in bs:
                             for c in cs:
                                 for d in fus[(y, c)]:
@@ -228,7 +226,13 @@ def _pentagon_plan(ring: FusionRing) -> _Plan:
 def _additional_plan(ring: FusionRing) -> _Plan:
     """The checks of :func:`check_additional` in its label order, right side
     minus left side in the pentagon's shape; a starred factor sits at its
-    key's position plus the number of keys."""
+    key's position plus the number of keys.
+
+    A pentagon check reads L1, L2, then R1, R2, R3 for each t.  Check
+    (x, y, a, z, t, w, c, u, b) opens with [L2*, R3] of the pentagon checks
+    with R3 = (x, y, z, b, t, a) and L2 = (a, z, w, u, c, b), and each adds
+    [L1, R1*, R2*] for that t; regrouping the pentagon plan so would hold
+    every group at once (25 MB traced peak on h3, against 1 MB here)."""
     pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
     star = len(pos)
     N, fus = ring._n, ring._fusion
@@ -565,7 +569,13 @@ def verify_all(table: FSymbolTable, jobs: int = 1, rule: str = "unit") -> Verify
 
 
 def count_instances(ring: FusionRing) -> dict[str, int]:
-    """Instance totals and trivial counts under every rule; never cached."""
+    """Instance totals and trivial counts under every rule; never cached.
+
+    It walks the instance stream rather than the pentagon plan's bits: it is
+    the benchmark's only traced walk of the stream (``bench/run.py --trace 1``
+    reads ``pentagon.enumerate_instances_s`` from it), and building the plan
+    slows a one-shot ``fusioncat count --builtin h3`` (median wall 0.27 s
+    against 0.36 s, seven runs each on a 2-vCPU VM)."""
     unit = ring.unit
     bits = [_trivial_bits(unit, tup) for tup in _raw_instances(ring)]
     return {"total": len(bits), **{rule: sum(1 for b in bits if b & mask)
@@ -625,7 +635,9 @@ def key_instance_index(ring: FusionRing) -> tuple[Sequence[tuple],
     over the pentagon plan, and a map FKey -> ``array('I')`` of the
     ascending check numbers of the instances that read it, which are also
     their positions in the view; built once per ring object, without
-    building the plan."""
+    building the plan, as gauge-mutate's ``setup_s`` times this call (a walk
+    that also built the plan took 0.26-0.43 s against 0.16-0.27 s for h3 on
+    a 2-vCPU VM)."""
     index: defaultdict[tuple, array] = defaultdict(partial(array, "I"))
     pos = -1
     for pos, tup in enumerate(_raw_instances(ring)):

@@ -371,15 +371,15 @@ class _System:
         return out
 
     def univariate_roots(self, equations=None) -> list[tuple[int, list[FieldScalar]]]:
-        """Solutions of equations involving a single unknown, degree <= 2."""
-        out = []
-        seen = set()
+        """Solutions of equations involving a single unknown, degree <= 2,
+        from the first such equation of each unknown, by unknown id."""
+        out: dict[int, list[FieldScalar]] = {}
         for poly in (self.equations if equations is None else equations):
             ids = {i for m in poly for i in m}
             if len(ids) != 1:
                 continue
             (uid,) = ids
-            if uid in seen or max(map(len, poly)) > 2:
+            if uid in out or max(map(len, poly)) > 2:
                 continue
             zero = self.ring.tower.zero()
             c0 = poly.get((), zero)
@@ -393,11 +393,8 @@ class _System:
                 # one root when s is zero, since then s == -s
                 inv = (2 * c2).inverse()
                 roots = [(-c1 + r) * inv for r in {s, -s}]
-            seen.add(uid)
-            roots.sort(key=lambda v: v.coords, reverse=True)
-            out.append((uid, roots))
-        out.sort(key=lambda kv: kv[0])
-        return out
+            out[uid] = sorted(roots, key=lambda v: v.coords, reverse=True)
+        return sorted(out.items())
 
     def eliminated(self, equations=None) -> list[Poly]:
         """Row-reduce over unknown monomials; returns the reduced rows."""
@@ -484,17 +481,16 @@ def _verified(table: FSymbolTable) -> bool:
 def solve(ring, with_report: bool = False):
     """Seed, propagate and branch until every surviving assignment is total.
 
-    Returns the list of fully solved, independently re-verified tables
-    (``with_report=True`` additionally returns the SolveReport of the first
-    exploration path).  For h3 it only propagates, reflecting that the full
-    solve is a stretch far beyond desk scale.
+    Returns the fully solved, independently re-verified tables, each once, as
+    branch children differ in the branched key and propagation assigns only
+    unknown keys (``with_report=True`` adds the SolveReport of the first
+    path).  For h3 it only propagates: the full solve is far beyond desk scale.
     """
     if isinstance(ring, str):
         ring = builtin_ring(ring)
     max_branch_nodes = 0 if is_h3(ring) else _MAX_BRANCH_NODES
     t0 = time.monotonic()
     tables: list[FSymbolTable] = []
-    seen: set = set()
     first_report: SolveReport | None = None
     nodes = 0
 
@@ -508,10 +504,7 @@ def solve(ring, with_report: bool = False):
             continue
         if report.remaining == 0:
             table = state.as_table()
-            fingerprint = tuple(state.known[k].integer_coords()
-                                for k in sorted(state.known, key=lambda k: k.sort_key))
-            if fingerprint not in seen and _verified(table):
-                seen.add(fingerprint)
+            if _verified(table):
                 tables.append(table)
             continue
         options = report.branch_options
@@ -524,9 +517,8 @@ def solve(ring, with_report: bool = False):
             branch.known[key] = value
             stack.append(branch)
 
-    if first_report is not None:
-        first_report.duration = time.monotonic() - t0
-        first_report.branch_decisions = [f"explored {nodes} branch nodes"]
+    first_report.duration = time.monotonic() - t0
+    first_report.branch_decisions = [f"explored {nodes} branch nodes"]
     if not is_h3(ring) and not tables and not with_report:
         raise RuntimeError("no branch survived verification")
     if with_report:

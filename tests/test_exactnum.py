@@ -356,6 +356,22 @@ def test_param_ops(h3):
         param_substitute(p1, 0, 1)
 
 
+def test_equal_scalars_hash_alike(h3):
+    # a rational FieldScalar equals its int or Fraction, and a ParamScalar
+    # with no sign monomial its field coefficient, so each set has one item
+    for q in (1, Fraction(3, 7), 0):
+        field = h3.from_rational(q)
+        param = ParamScalar.from_field(field)
+        assert field == q and param == q and param == field
+        assert len({field, q}) == len({param, q}) == len({param, field}) == 1
+        assert len({q, field, param, Fraction(q)}) == 1
+    assert len({h3.one(), 1, ParamScalar.from_field(h3.one())}) == 1
+    b = named_constant("B")
+    assert len({b, ParamScalar.from_field(b)}) == 1
+    p1 = ParamScalar.param(h3, 1)
+    assert len({p1, 1, p1 * p1, ParamScalar.from_field(h3.zero()), 0}) == 3
+
+
 def test_substitution_is_a_homomorphism(h3):
     rng = random.Random(5)
     values = [named_constant(n) for n in ("A", "B", "C", "Dplus")]

@@ -800,6 +800,71 @@ def test_verify_parallel_matches_serial_on_failing_tables(table, h3):
         assert verify_all(tab, jobs=2).render() == serial.render()
 
 
+# a negated entry (u; a b c; e f) of the data set -> the failures of
+# (check_triangle, check_seeds) on the negated table
+_NEGATED_CHECKER_FAILURES = {
+    ("ar", "1", "a", "r", "ar", "a"): (
+        ["F[ar;1 a r] product != 1", "F[a;1 ar r] product != 1"], []),
+    ("ar", "r", "r", "1", "r", "ar"): (
+        ["F[ar;r r 1] product != 1", "F[r;r ar 1] product != 1"], []),
+    ("r", "r", "r", "r", "r", "r"): ([], ["(F[r; r r r])_{rr} != -B"]),
+    ("ar", "r", "1", "r", "r", "r"): ([], ["F[ar; r 1 r; e=r f=r] != 1"]),
+    ("r", "1", "1", "r", "r", "1"): (
+        ["F[r;1 1 r] product != 1", "F[1;1 r r] product != 1"],
+        ["F[r; 1 1 r; e=r f=1] != 1"]),
+}
+
+
+@pytest.mark.parametrize("negated", sorted(_NEGATED_CHECKER_FAILURES),
+                         ids="-".join)
+def test_checkers_name_each_negated_entry(table, h3, negated):
+    u, a, b, c, e, f = negated
+    mutated = negate_entry(table, h3.key(a, b, c, u, e, f))
+    triangle, seeds = check_triangle(mutated), check_seeds(mutated)
+    assert (triangle.failures, seeds.failures) == (
+        _NEGATED_CHECKER_FAILURES[negated])
+    assert (triangle.checked, seeds.checked) == (102, 21)
+
+
+def test_verify_all_rejects_an_unknown_rule_and_probes_find_nothing(table, h3):
+    with pytest.raises(ValueError, match="unknown triviality rule 'bogus'"):
+        verify_all(table, rule="bogus")
+    r = h3.label("r")
+    assert find_failing_instance(table, FKey(r, r, r, r, r, r)) is None
+    for key in random.Random(23).sample(_four_dim_keys(h3), 2):
+        assert find_failing_instance(table, key) is None
+
+
+@pytest.mark.parametrize("name", RING_NAMES)
+def test_additional_plan_regroups_the_pentagon_plan(name):
+    """The mixed-associativity plan rebuilt from the pentagon plan, as
+    :func:`_additional_plan` states: each check gathers the pentagon checks
+    of one (R3, L2), summed over d for their t.  This checks the pentagon
+    stream against the plan's separately written loop nest."""
+    ring = builtin_ring(name)
+    keys = enumerate_fkeys(ring)
+    star = len(keys)
+    pentagon = _pentagon_plan(ring)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for start, stop in zip(pentagon.starts, pentagon.starts[1:]):
+        l1, l2, *rest = pentagon.slots[start:stop]
+        for r1, r2, r3 in zip(*[iter(rest)] * 3):
+            groups.setdefault((r3, l2), [star + l2, r3]).extend(
+                [l1, star + r1, star + r2])
+
+    def label_order(group):
+        (x, y, z, b, t, a), (_, _, w, u, c, _) = (keys[p] for p in group)
+        return (x, y, a, z, t, w, c, u, b)
+
+    slots, counts, starts = array("H"), array("B"), array("I", [0])
+    for group in sorted(groups, key=label_order):
+        slots.extend(groups[group])
+        counts.append((len(groups[group]) - 2) // 3)
+        starts.append(len(slots))
+    plan = _additional_plan(ring)
+    assert (plan.slots, plan.counts, plan.starts) == (slots, counts, starts)
+
+
 def test_verify_all_rejects_jobs_below_one():
     ones = all_ones_table(builtin_ring("z3_pointed"))
     for jobs in (0, -2):

@@ -286,6 +286,40 @@ def test_solver_search_is_pinned():
     assert (report.resolved, report.remaining) == (0, 1258)
 
 
+def test_solve_returns_pairwise_distinct_tables():
+    # the search reaches no table twice: branch children differ in the
+    # branched key, and propagation assigns only unknown keys
+    for name, count in (("fibonacci", 2), ("ising", 16)):
+        tables = solve(name)
+        assert len(tables) == count
+        assert all(s != t for i, s in enumerate(tables) for t in tables[:i])
+
+
+def test_system_conclusions_on_hand_built_equations():
+    z3 = builtin_ring("z3_pointed")
+    q = z3.tower.from_rational
+    system = _System(seed(z3))
+    # a linear univariate equation has one root
+    assert system.univariate_roots([{(): q(-2), (5,): q(4)}]) == [
+        (5, [q(Fraction(1, 2))])]
+    # X1 = 2 X3 puts X3 under X1; then X2 = X3 merges X2 toward the lower
+    # root X1, so X2 + X3 - 1 becomes X1 - 1 and the aliases cancel
+    system.equations = [{(1,): q(1), (3,): q(-2)}, {(2,): q(1), (3,): q(-1)},
+                        {(2,): q(1), (3,): q(1), (): q(-1)}]
+    assert system.rewritten() == [{(1,): q(1), (): q(-1)}]
+    assert system.contradiction is None
+    # X1 = X2 and X1 - X2 + 1 = 0 leave the constant 1
+    system.equations = [{(1,): q(1), (2,): q(-1)},
+                        {(1,): q(1), (2,): q(-1), (): q(1)}]
+    assert system.rewritten() == []
+    assert system.contradiction == (
+        "alias substitution exposed a nonzero residual")
+    # a fold moved to the very values it holds is returned as it is
+    partial = seed(z3)
+    fold = _System(partial).fold
+    assert fold.updated(dict(partial.known)) is fold
+
+
 def test_system_builds_from_a_partial_table_alone():
     z3 = builtin_ring("z3_pointed")
     system = _System(seed(z3))
