@@ -16,7 +16,7 @@ import pytest
 
 from fusioncat.exactnum import (ParamScalar, named_constant,
                                 render_scalar, tower_preset)
-from fusioncat import fsymbols
+from fusioncat import fsymbols, fusionring, pentagon, solver
 from fusioncat.fsymbols import (FSymbolTable, GaugeAssignment,
                                 _field_matrix_inverse, _invert_param_matrix,
                                 _sign_factors, all_ones_table, build_h3_table)
@@ -29,8 +29,9 @@ from fusioncat.pentagon import (PentagonInstance, VerifyReport,
                                 key_instance_index, negate_entry, residual,
                                 starred_entries, verify_all)
 from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan,
-                                _Directions, _Kernel, _is_identical,
-                                _pentagon_plan, _raw_instances, _sweep, _unpack)
+                                _Directions, _Kernel, _instance_keys,
+                                _is_identical, _pentagon_plan, _raw_instances,
+                                _sweep, _unpack)
 from fusioncat.solver import solve
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
@@ -615,6 +616,61 @@ def test_index_memory_stays_small(h3):
         tracemalloc.stop()
     assert len(held[0]) == 41391
     assert size < 3_000_000
+
+
+def test_index_build_never_builds_the_pentagon_plan(monkeypatch):
+    """The index walks the labels itself; only its view reads the plan."""
+    ring = fusionring._build_builtin.__wrapped__("h3")
+
+    def refuse(ring):
+        raise AssertionError("the index built the pentagon plan")
+
+    monkeypatch.setattr(pentagon, "_pentagon_plan", refuse)
+    instances, index = key_instance_index.__wrapped__(ring)
+    monkeypatch.undo()
+    assert len(instances) == 41391 and len(index) == len(enumerate_fkeys(ring))
+    assert instances[7] == next(islice(_raw_instances(ring), 7, None))
+
+
+@pytest.mark.parametrize("name", RING_NAMES)
+def test_index_lists_each_check_once(name):
+    """Each array is strictly increasing and holds every instance that reads
+    its key; on h3, 16405 instances read one key twice."""
+    ring = builtin_ring(name)
+    index = key_instance_index(ring)[1]
+    for positions in index.values():
+        assert all(p < q for p, q in zip(positions, positions[1:]))
+    per_instance = [_instance_keys(tup) for tup in _raw_instances(ring)]
+    assert (sum(map(len, index.values()))
+            == sum(len(set(keys)) for keys in per_instance))
+    if name == "h3":
+        assert sum(len(set(keys)) < len(keys) for keys in per_instance) == 16405
+
+
+def test_index_build_peak_memory_stays_small(h3):
+    """Not only what the index holds but what building it takes at most."""
+    key_instance_index(h3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = key_instance_index.__wrapped__(h3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held[0]) == 41391
+    assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("name", ("fibonacci", "ising", "h3"))
+def test_index_agrees_with_the_solver_plan(name):
+    """The solver's per-key equation lists, read off the pentagon plan,
+    restricted to the pentagon equations, are the index by key position."""
+    ring = builtin_ring(name)
+    plan = solver._plan(ring)
+    index = key_instance_index(ring)[1]
+    for key, equations in zip(plan.keys, plan._by_key):
+        checks = [i for i in equations if i < plan.n_pentagon]
+        assert list(index.get(key, ())) == checks
 
 
 def test_a_ring_named_h3_is_not_treated_as_h3():
