@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
+import tempfile
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -63,12 +65,35 @@ def _load_table(args) -> FSymbolTable:
 
 
 def _write_out(path: str, data: bytes) -> None:
-    """Write an ``--out`` file; one that cannot be opened or written is an
-    input error, as an unreadable ``--dataset`` is."""
+    """Write an ``--out`` file whole or not at all: the data goes to a
+    temporary file next to the resolved target, with the mode the target
+    would get, which then replaces the target.  A target that exists and is
+    not a regular file (``/dev/stdout``, a FIFO) is written in place.  One
+    that cannot be written is an input error, as an unreadable ``--dataset``
+    is."""
     try:
-        Path(path).write_bytes(data)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            Path(path).write_bytes(data)
+            return
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(prefix=".", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+                fh.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
-        raise InputError(str(exc))
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _parse_params(text: str) -> tuple[int, int] | None:

@@ -15,15 +15,15 @@ Everything is evaluated exactly, symbolically in the sign parameters.
 
 The sweeps split what depends on the ring from what depends on the table.
 Once per ring object, each sweep's checks are compiled into a plan of key
-positions (:class:`_Plan`); a check is named by its number in the plan.  The
-key -> instance index keeps only those numbers, and reads an instance back
-from the pentagon plan's slots; the mutation probe sweeps the pentagon
-checks that read its key one at a time, by those numbers.  Once per table,
-the values are compiled into integer coefficients over one denominator
-times interned primitive field directions, listed by key position, with
-the products of two and three directions memoized as integer tower
-coordinates packed into one integer, a fixed number of bits per
-coordinate.  A residual is then one integer multiply-add per term into
+positions (:class:`_Plan`); a check is named by its number in the plan.
+Inverting the pentagon plan (:func:`_readers`) lists, per key, the numbers
+of the checks that read it; the mutation probe sweeps those checks one at a
+time, and the probe index is a view of the plan and that map.  Once per
+table, the values are compiled into integer coefficients over one
+denominator times interned primitive field directions, listed by key
+position, with the products of two and three directions memoized as
+integer tower coordinates packed into one integer, a fixed number of bits
+per coordinate.  A residual is then one integer multiply-add per term into
 four packed accumulators, one per sign monomial.  The field width comes
 from a bound on every coordinate a residual of the table can reach, so an
 accumulator is zero exactly when all its coordinates are; no rational
@@ -36,7 +36,7 @@ import os
 import time
 import weakref
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce, wraps
 from itertools import chain, islice, product
@@ -255,6 +255,27 @@ def _additional_plan(ring: FusionRing) -> _Plan:
                         plan.counts.append(len(ss))
                         plan.starts.append(len(plan.slots))
     return plan
+
+
+def _readers(slots: array, starts: array, count: int) -> list[array]:
+    """For each of ``count`` positions, an ``array('I')`` of the ascending
+    numbers of the checks that read it, each once: check ``i`` reads
+    ``slots[starts[i]:starts[i + 1]]``, and may read a position twice."""
+    out = [array("I") for _ in range(count)]
+    for i in range(len(starts) - 1):
+        for p in set(slots[starts[i]:starts[i + 1]]):
+            out[p].append(i)
+    return out
+
+
+@_per_ring
+def _key_checks(ring: FusionRing) -> dict[FKey, array]:
+    """FKey -> the ascending numbers of the pentagon checks that read it,
+    the keys in the order of their first check, then of position."""
+    plan, keys = _pentagon_plan(ring), ring._fkeys
+    readers = _readers(plan.slots, plan.starts, len(keys))
+    first = sorted((found[0], p) for p, found in enumerate(readers) if found)
+    return {keys[p]: readers[p] for _, p in first}
 
 
 def _failing(ring: FusionRing, plan: _Plan, nonzero) -> list:
@@ -594,30 +615,41 @@ def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
     return FSymbolTable(table.ring, entries)
 
 
-class _Instances(Sequence):
-    """The pentagon instances of one ring in enumeration order, read back
-    from its pentagon plan (built on first read): item ``i`` equals the
-    ``i``-th tuple of :func:`_raw_instances`.  The ring is held weakly, so
-    a per-ring cache may keep the view (see :func:`_per_ring`)."""
+class _RingView:
+    """A read-only view of one ring's per-ring data that holds the ring
+    weakly, so a per-ring cache may keep it (see :func:`_per_ring`), and
+    builds nothing until it is read."""
 
-    __slots__ = ("_ring", "_len")
+    __slots__ = ("_ring",)
 
-    def __init__(self, ring: FusionRing, count: int):
+    def __init__(self, ring: FusionRing):
         self._ring = weakref.ref(ring)
-        self._len = count
 
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> tuple:
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("instance index out of range")
+    def _live(self) -> FusionRing:
         ring = self._ring()
         if ring is None:
-            raise ReferenceError("the ring of these instances is gone")
+            raise ReferenceError("the ring of this view is gone")
+        return ring
+
+
+class _Instances(_RingView, Sequence):
+    """The pentagon instances of one ring in enumeration order, read back
+    from its pentagon plan: item ``i`` equals the ``i``-th tuple of
+    :func:`_raw_instances`."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(_pentagon_plan(self._live()).counts)
+
+    def __getitem__(self, i: int) -> tuple:
+        ring = self._live()
         plan, keys = _pentagon_plan(ring), ring._fkeys
+        count = len(plan.counts)
+        if i < 0:
+            i += count
+        if not 0 <= i < count:
+            raise IndexError("instance index out of range")
         slots, start = plan.slots, plan.starts[i]
         # the first two keys of a check, then each summand's first key
         x, y, c, u, d, a = keys[slots[start]]
@@ -627,66 +659,44 @@ class _Instances(Sequence):
         return (x, y, z, w, u, a, b, c, d, esum)
 
 
+class _KeyChecks(_RingView, Mapping):
+    """The map of :func:`_key_checks` for one ring."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: FKey) -> array:
+        return _key_checks(self._live())[key]
+
+    def __iter__(self) -> Iterator[FKey]:
+        return iter(_key_checks(self._live()))
+
+    def __len__(self) -> int:
+        return len(_key_checks(self._live()))
+
+
 @_per_ring
 def key_instance_index(ring: FusionRing) -> tuple[Sequence[tuple],
-                                                  dict[FKey, array]]:
+                                                  Mapping[FKey, array]]:
     """The raw instance tuples in enumeration order, as a read-only view
-    over the pentagon plan, and a map FKey -> ``array('I')`` of the
-    ascending check numbers of the instances that read it, which are also
-    their positions in the view; built once per ring object.
-
-    gauge-mutate's ``setup_s`` times this call, so it walks the loops of
-    :func:`_raw_instances` itself, looking each key up where its labels are
-    fixed, and builds neither the plan nor any per-instance object: for h3
-    it takes 0.10-0.17 s, against 0.16-0.26 s through the instance stream
-    and 0.26-0.43 s when it also built the plan (2-vCPU VM).  An instance
-    may read one key twice (16405 of h3's); the walk appends such a check
-    number twice, and the repeat is dropped after it."""
-    keys = ring._fkeys
-    pos = {k: i for i, k in enumerate(keys)}
-    checks = [array("I") for _ in keys]
-    N, fus, rng = ring._n, ring._fusion, range(len(ring))
-    i = 0
-    for x, y, z in product(rng, repeat=3):
-        yz = fus[(y, z)]
-        for w, u, a in product(rng, rng, fus[(x, y)]):
-            cs = [c for c in fus[(z, w)] if N[a][c][u]]
-            for b in fus[(a, z)]:
-                if not N[b][w][u]:
-                    continue
-                r3s = [(t, checks[pos[x, y, z, b, t, a]])
-                       for t in yz if N[x][t][b]]
-                for c in cs:
-                    l2 = checks[pos[a, z, w, u, c, b]]
-                    for d in fus[(y, c)]:
-                        if not N[x][d][u]:
-                            continue
-                        checks[pos[x, y, c, u, d, a]].append(i)
-                        l2.append(i)
-                        for t, r3 in r3s:
-                            if N[t][w][d]:
-                                checks[pos[y, z, w, d, c, t]].append(i)
-                                checks[pos[x, t, w, u, d, b]].append(i)
-                                r3.append(i)
-                        i += 1
-    for found in checks:
-        found[:] = array("I", dict.fromkeys(found))
-    first = sorted((found[0], p) for p, found in enumerate(checks) if found)
-    return _Instances(ring, i), {keys[p]: checks[p] for _, p in first}
+    over the pentagon plan, and a read-only map FKey -> ``array('I')`` of
+    the ascending check numbers of the instances that read it, which are
+    also their positions in the view.  Both hold the ring weakly and read
+    the plan, or invert it, only when first read."""
+    return _Instances(ring), _KeyChecks(ring)
 
 
 def find_failing_instance(table: FSymbolTable,
                           key: FKey) -> PentagonInstance | None:
     """First pentagon instance touching ``key`` with a nonzero residual:
-    each check number the index lists for the key is swept as one check of
-    the pentagon plan."""
+    each check number :func:`_key_checks` lists for the key is swept as one
+    check of the pentagon plan."""
     if key not in table.entries:
         raise KeyError(f"inadmissible key {key}")
-    instances, index = key_instance_index(table.ring)
-    kernel, plan = _Kernel(table), _pentagon_plan(table.ring)
-    for i in index.get(key, ()):
+    ring = table.ring
+    kernel, plan = _Kernel(table), _pentagon_plan(ring)
+    for i in _key_checks(ring).get(key, ()):
         if _sweep(kernel, plan, i, i + 1):
-            return PentagonInstance._make(instances[i])
+            return PentagonInstance._make(_Instances(ring)[i])
     return None
 
 

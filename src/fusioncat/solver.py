@@ -44,8 +44,8 @@ from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
 from .fsymbols import FSymbolTable
 from .fusionring import (FKey, FusionRing, builtin_ring, enumerate_fkeys,
                          f_blocks, is_h3)
-from .pentagon import (_pentagon_plan, _per_ring, _square_pop_relations,
-                       verify_all)
+from .pentagon import (_pentagon_plan, _per_ring, _readers,
+                       _square_pop_relations, verify_all)
 
 Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> coeff
 
@@ -171,22 +171,11 @@ class _Plan:
     def _by_key(self) -> list[array]:
         """For each key position, the equations and then the registered
         relations (numbered after the equations) that read it."""
-        by_key = [array("I") for _ in self.keys]
-        slots, offsets = self.slots, self.offsets
-        for i in range(self.n_equations):
-            for p in set(slots[offsets[i]:offsets[i + 1]]):
-                by_key[p].append(i)
+        by_key = _readers(self.slots, self.offsets, len(self.keys))
         for i, terms in enumerate(self.registered, start=self.n_equations):
             for p in {p for _, positions, _ in terms for p in positions}:
                 by_key[p].append(i)
         return by_key
-
-    def equations_of(self, positions) -> set[int]:
-        """The equations and relations that read any of the given keys."""
-        out: set[int] = set()
-        for p in positions:
-            out.update(self._by_key[p])
-        return out
 
 
 _plan = _per_ring(_Plan)
@@ -222,7 +211,7 @@ class _Fold:
                        if v is not w}
             if not changed:
                 return self
-            touched = plan.equations_of(changed)
+            touched = {i for p in changed for i in plan._by_key[p]}
         new = copy.copy(self)
         new.values = values
         new.outcomes = [None] * n if self.outcomes is None else list(self.outcomes)

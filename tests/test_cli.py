@@ -1,8 +1,13 @@
 """End-to-end command-line behaviour, including the exit-code contract."""
 
 import hashlib
+import os
+import signal
+import stat
 import subprocess
 import sys
+
+import pytest
 
 from fusioncat import cli
 from fusioncat.fsymbols import build_h3_table
@@ -139,6 +144,46 @@ def test_unwritable_out_is_an_input_error(tmp_path):
         assert "internal error" not in proc.stderr
         assert "Traceback" not in proc.stderr
     assert not (tmp_path / "missing").exists()
+
+
+def _cap_file_size():
+    """In the child: files may not grow past 4096 bytes, and a write that
+    would fails with an error rather than a signal."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs SIGXFSZ")
+@pytest.mark.parametrize("command", ["export", "render"])
+def test_failed_out_write_keeps_the_old_file(tmp_path, command):
+    out = tmp_path / "f"
+    old = b"old contents\n" * 10
+    out.write_bytes(old)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusioncat", command, "--builtin", "h3",
+         "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=_cap_file_size)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert out.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def test_out_file_mode_and_special_targets(tmp_path):
+    kept = tmp_path / "kept.fsym"
+    kept.write_bytes(b"")
+    kept.chmod(0o640)
+    fresh = tmp_path / "fresh.fsym"
+    for out in (kept, fresh, "/dev/null"):
+        assert cli.main(["export", "--builtin", "z3", "--out", str(out)]) == 0
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert kept.read_bytes() == fresh.read_bytes() != b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.fsym",
+                                                          "kept.fsym"]
 
 
 def test_deeply_nested_scalar_is_an_input_error(tmp_path):

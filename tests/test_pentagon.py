@@ -673,6 +673,93 @@ def test_index_agrees_with_the_solver_plan(name):
         assert list(index.get(key, ())) == checks
 
 
+def test_key_check_map_memory_stays_small(h3):
+    """What inverting the built h3 pentagon plan holds and takes at most."""
+    _pentagon_plan(h3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = pentagon._key_checks.__wrapped__(h3)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == len(enumerate_fkeys(h3))
+    assert size < 3_000_000
+    assert peak < 3_000_000
+
+
+def _impostor():
+    return _group_ring("h3", [("1", "1"), ("α", "a"), ("α*", "as")],
+                       [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                       tower_preset("rationals"))
+
+
+def test_index_call_builds_nothing(monkeypatch):
+    def refuse(ring):
+        raise AssertionError("the index call built per-ring data")
+
+    ring = _impostor()
+    monkeypatch.setattr(pentagon, "_pentagon_plan", refuse)
+    monkeypatch.setattr(pentagon, "_key_checks", refuse)
+    instances, index = key_instance_index(ring)
+    monkeypatch.undo()
+    assert len(instances) == 81 and len(index) == len(enumerate_fkeys(ring))
+
+
+def test_first_index_read_builds_the_map_once(monkeypatch):
+    ring = _impostor()
+    calls = []
+    readers = pentagon._readers
+
+    def counted(*args):
+        calls.append(args)
+        return readers(*args)
+
+    monkeypatch.setattr(pentagon, "_readers", counted)
+    instances, index = key_instance_index(ring)
+    instances[0]
+    assert not calls
+    key = FKey(1, 1, 1, 0, 2, 2)
+    first = index[key]
+    assert len(calls) == 1
+    assert index[key] is first and dict(index.items())[key] is first
+    assert find_failing_instance(
+        negate_entry(all_ones_table(ring), key), key) is not None
+    assert len(calls) == 1
+
+
+def test_index_views_raise_once_their_ring_is_gone():
+    ring = _impostor()
+    instances, index = key_instance_index(ring)
+    del ring
+    gc.collect()
+    for read in (len, list, lambda view: view[0]):
+        with pytest.raises(ReferenceError):
+            read(instances)
+    for read in (len, list, lambda view: view[FKey(1, 1, 1, 0, 2, 2)]):
+        with pytest.raises(ReferenceError):
+            read(index)
+
+
+def _read_index(ring):
+    instances, index = key_instance_index(ring)
+    return instances[0], len(instances), list(index.items())
+
+
+@pytest.mark.parametrize("build", [
+    _pentagon_plan, _additional_plan, pentagon._key_checks, _read_index,
+    lambda ring: solver._plan(ring)._by_key,
+], ids=["pentagon_plan", "additional_plan", "key_checks", "index",
+        "solver_by_key"])
+def test_every_per_ring_cache_lets_its_ring_go(build):
+    ring = _impostor()
+    ring_ref = weakref.ref(ring)
+    assert build(ring)
+    del ring
+    gc.collect()
+    assert ring_ref() is None
+
+
 def test_a_ring_named_h3_is_not_treated_as_h3():
     impostor = _group_ring("h3", [("1", "1"), ("α", "a"), ("α*", "as")],
                            [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
