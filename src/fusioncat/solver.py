@@ -12,7 +12,7 @@ steps until nothing moves:
      univariate conclusions without any Groebner machinery.
 
 Equations come from the pentagon instances, from the orthogonality of every
-block (row/column dot products), and for h3 from the two square-pop
+block (its row dot products, F Ft = I), and for h3 from the two square-pop
 relations (valid in the data-set gauge only).  Branches are explored
 depth-first; any equation with no unknowns and a nonzero constant kills its
 branch.  Every completed table is re-verified with the independent pentagon
@@ -112,7 +112,9 @@ def seed(ring: FusionRing) -> PartialTable:
 
 _PENTAGON_CONTRADICTION = "nonzero residual on a fully-known pentagon instance"
 _KNOWN_CONTRADICTION = "fully-known equation has nonzero residual"
-# an equation with more unknowns than this is left out of a round
+# an equation with more distinct unknowns than this is left out of a round,
+# and a pentagon equation is left out before folding when it reads more
+# unknown key slots than this (a key read twice counts twice)
 _MAX_UNKNOWNS = 4
 # the most branch nodes :func:`solve` explores; for h3 it explores none
 _MAX_BRANCH_NODES = 4096
@@ -126,8 +128,10 @@ class _Plan:
     ``slots[offsets[i]:offsets[i + 1]]``.  The pentagon equations come first,
     in instance order, each with its two left-hand keys and then three keys
     per summand, as in the pentagon sweep's own plan; then, block by block,
-    the row and column orthogonality equations, each with its pairs of keys
-    and, when it is listed in ``diagonal``, a constant -1.  The square-pop
+    the row equations of F Ft = I (sum_f F[e_i, f] F[e_j, f] - delta_ij for
+    i <= j), each with its pairs of keys and, when it is listed in
+    ``diagonal``, a constant -1.  Rows suffice: F Ft = I gives det F *
+    det Ft = 1, so Ft is F's inverse and Ft F = I follows.  The square-pop
     relations (:func:`_square_pop_relations`) follow as ``registered``, each
     its left-hand side and then its right-hand terms subtracted, as
     (factor, positions, negated) terms.
@@ -146,16 +150,12 @@ class _Plan:
             es, fs = blk.e_labels, blk.f_labels
             for i in range(blk.dim):
                 for j in range(i, blk.dim):
-                    rows = [(pos[a, b, c, u, es[i], f], pos[a, b, c, u, es[j], f])
-                            for f in fs]
-                    cols = [(pos[a, b, c, u, e, fs[i]], pos[a, b, c, u, e, fs[j]])
-                            for e in es]
-                    for pairs in (rows, cols):
-                        if i == j:
-                            diagonal.append(len(offsets) - 1)
-                        for pair in pairs:
-                            slots.extend(pair)
-                        offsets.append(len(slots))
+                    if i == j:
+                        diagonal.append(len(offsets) - 1)
+                    for f in fs:
+                        slots.extend((pos[a, b, c, u, es[i], f],
+                                      pos[a, b, c, u, es[j], f]))
+                    offsets.append(len(slots))
         self.slots = slots
         self.offsets = offsets
         self.diagonal = frozenset(diagonal)
@@ -185,8 +185,9 @@ class _Fold:
     """The outcome of every equation of a plan, its registered relations
     last, over one assignment, kept in plan order.
 
-    An outcome is None (no equation: it cancels or has more than
-    ``_MAX_UNKNOWNS`` unknowns), an equation (Poly) or a contradiction
+    An outcome is None (no equation: it cancels, has more than
+    ``_MAX_UNKNOWNS`` distinct unknowns, or is a pentagon equation with more
+    than that many unknown key slots), an equation (Poly) or a contradiction
     message.  :meth:`updated` re-folds only the equations that read a key
     whose value changed, so the outcomes always equal those of a fold from
     scratch.
@@ -288,21 +289,17 @@ class _System:
     # -- conclusions ---------------------------------------------------------
 
     def linear_assignments(self, equations=None) -> dict[int, FieldScalar]:
+        """Each unknown's value from the first equation that fixes it
+        linearly; a later one that disagrees sets the contradiction."""
         out: dict[int, FieldScalar] = {}
-        conflict = set()
         for poly in (self.equations if equations is None else equations):
             monos = [m for m in poly if m]
             if len(monos) != 1 or len(monos[0]) != 1:
                 continue
             (uid,) = monos[0]
             value = -poly.get((), self.ring.tower.zero()) / poly[monos[0]]
-            if uid in out and out[uid] != value:
-                conflict.add(uid)
-            out[uid] = value
-        for uid in conflict:
-            del out[uid]
-        if conflict and self.contradiction is None:
-            self.contradiction = "inconsistent linear conclusions"
+            if out.setdefault(uid, value) != value and self.contradiction is None:
+                self.contradiction = "inconsistent linear conclusions"
         return out
 
     def rewritten(self) -> list[Poly]:

@@ -330,6 +330,23 @@ def test_solve_h3_rejects_out(tmp_path):
     assert not out.exists()
 
 
+# sha256 of ``solve`` stdout per builtin ring; any change to the solver's
+# search, its tables or its report must show here
+SOLVE_SHA256 = {
+    "z3": "a90a072e118f069bc8204048da6cc0c0fd7ec6ff1ad871a276db63ea62868d23",
+    "fib": "d34e9f723b63a5b634a1bc45d90955e10fa44c34c0e9e6ac3208cd8c042c18fe",
+    "ising": "668f6940b2fe607f78859a9b2379ce823135b49d4a702c27fc1a1325dcb99313",
+    "h3": "21e799227d906396304995f7e782c19e3c6b9aef3c568262e0d4777fa9537ca3",
+}
+
+
+def test_solve_stdout_is_pinned(capsys):
+    for ring, want in SOLVE_SHA256.items():
+        assert cli.main(["solve", "--builtin", ring]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, ring
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     for jobs in ("0", "-2"):
         assert cli.main(["verify", "--builtin", "z3", "--jobs", jobs]) == 2

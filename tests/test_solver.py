@@ -6,7 +6,7 @@ from itertools import product
 from fusioncat import solver
 from fusioncat.exactnum import FieldScalar
 from fusioncat.fsymbols import all_ones_table, build_h3_table
-from fusioncat.fusionring import FKey, builtin_ring, enumerate_fkeys
+from fusioncat.fusionring import FKey, builtin_ring, enumerate_fkeys, f_blocks
 from fusioncat.pentagon import (_raw_instances, _square_pop_relations,
                                 verify_all)
 from fusioncat.solver import (PartialTable, _System, compare_to_dataset,
@@ -284,6 +284,41 @@ def test_solver_search_is_pinned():
         assert len(tables) == count
     state, report = propagate(seed(builtin_ring("h3")))
     assert (report.resolved, report.remaining) == (0, 1258)
+
+
+def test_plan_states_each_block_row_equation_once():
+    # F Ft = I as sum_f F[e_i, f] F[e_j, f] - delta_ij for i <= j: d(d+1)/2
+    # equations per block of dimension d, each pairing keys of one column f
+    for name, count in (("z3_pointed", 27), ("fibonacci", 14), ("ising", 35),
+                        ("h3", 1107)):
+        ring = builtin_ring(name)
+        plan = solver._plan(ring)
+        assert plan.n_equations - plan.n_pentagon == count == sum(
+            b.dim * (b.dim + 1) // 2 for b in f_blocks(ring))
+        assert len(plan.diagonal) == sum(b.dim for b in f_blocks(ring))
+        for i in range(plan.n_pentagon, plan.n_equations):
+            sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
+            assert all(plan.keys[p].f == plan.keys[q].f
+                       for p, q in zip(sl[::2], sl[1::2]))
+
+
+def test_solved_tables_are_column_orthogonal_and_fold_away():
+    # the plan states no column equations, yet every solved table has
+    # Ft F = I, and no equation of the plan is left over it
+    for name in ("fibonacci", "ising"):
+        ring = builtin_ring(name)
+        zero, one = ring.tower.zero(), ring.tower.one()
+        for table in solve(name):
+            values = {k: v.as_field() for k, v in table.entries.items()}
+            for b in f_blocks(ring):
+                m = [[values[FKey(b.a, b.b, b.c, b.u, e, f)] for f in b.f_labels]
+                     for e in b.e_labels]
+                for i in range(b.dim):
+                    for j in range(b.dim):
+                        dot = sum((row[i] * row[j] for row in m), start=zero)
+                        assert dot == (one if i == j else zero)
+            system = _System(PartialTable(ring, values))
+            assert system.equations == [] and system.contradiction is None
 
 
 def test_solve_returns_pairwise_distinct_tables():
