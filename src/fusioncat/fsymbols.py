@@ -17,9 +17,9 @@ texts), so ``parse``, ``serialize`` and ``substitute_params`` work out each
 distinct value once per call (``parse`` in a dict keyed by the text, the
 others in a ``functools.cache`` made for the call) and let the entries share
 the resulting immutable scalars.  The checks build on that sharing: a table
-proves F Ft = I and inverts each distinct block matrix at most once
-(``FSymbolTable.block_orthogonal`` and ``block_inverse``), and the exact
-kernel works once per distinct value object.
+inverts each distinct block matrix at most once (``FSymbolTable.block_inverse``,
+its one per-block cache), orthogonality is read off that inverse, and the
+exact kernel works once per distinct value object.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class FSymbolTable:
     """A total map from admissible keys to exact scalar values.
 
     A table is never mutated after construction: ``entries`` is not assigned
-    into, and every edit returns a new table.  The per-block results
-    (:attr:`block_orthogonal`, :attr:`block_inverse`) are kept on the table
-    on that ground, and are freed with it.
+    into, and every edit returns a new table.  The block inverses
+    (:attr:`block_inverse`) are kept on the table on that ground, and are
+    freed with it.
     """
 
     def __init__(self, ring: FusionRing, entries: dict[FKey, ParamScalar]):
@@ -156,26 +156,27 @@ class FSymbolTable:
         return self.map_entries(lambda k, v: at(v))
 
     @cached_property
-    def block_orthogonal(self) -> Callable[[tuple], bool]:
-        """F Ft = I (:func:`_is_orthogonal`) for a block matrix F as
-        :meth:`f_matrix` gives it; evaluated once per distinct matrix."""
-        return cache(partial(_is_orthogonal, self.ring.tower))
-
-    @cached_property
     def block_inverse(self) -> Callable[[tuple], list]:
-        """A block matrix's inverse, once per distinct matrix: Ft, sharing
-        F's entries, where :attr:`block_orthogonal` holds, and otherwise
-        :func:`_invert_param_matrix` (ValueError if singular)."""
-        orthogonal, tower = self.block_orthogonal, self.ring.tower
-        return cache(lambda m: [list(col) for col in zip(*m)] if orthogonal(m)
-                     else _invert_param_matrix(tower, m))
+        """A block matrix's inverse (:func:`_invert_param_matrix`; ValueError
+        if singular), once per distinct matrix as :meth:`f_matrix` gives it."""
+        return cache(partial(_invert_param_matrix, self.ring.tower))
+
+    def block_orthogonal(self, m: tuple) -> bool:
+        """F Ft = I: the cached inverse of F is its transpose.  The sign
+        polynomials form a commutative ring, so a matrix has at most one
+        inverse, and F Ft = I makes it Ft; a singular block is not
+        orthogonal."""
+        try:
+            return self.block_inverse(m) == [list(col) for col in zip(*m)]
+        except ValueError:
+            return False
 
     def check_orthogonality(self) -> BlockReport:
         """F Ft = Ft F = identity, exactly and symbolically, per block.
 
-        Only F Ft is formed (:attr:`block_orthogonal`).  The sign polynomials
-        form a commutative ring, so F Ft = I gives det F * det Ft = 1: F is
-        invertible with inverse Ft, and Ft F = I follows."""
+        Only F Ft is formed (:meth:`block_orthogonal`): F Ft = I gives
+        det F * det Ft = 1, so F is invertible with inverse Ft, and Ft F = I
+        follows."""
         report, t = BlockReport("orthogonality"), self.ring.token
         for blk in f_blocks(self.ring):
             report.checked += 1
@@ -234,22 +235,6 @@ def _sign_factors(m):
     return sign[:n], [s or 0 for s in sign[n:]]
 
 
-def _is_orthogonal(tower, m) -> bool:
-    """F Ft = I for a square matrix over the sign polynomials, stopping at
-    the first entry that differs.  When :func:`_sign_factors` writes m as
-    D_row C D_col, F Ft = D_row C Ct D_row, which is I exactly when C Ct is,
-    so only field products are formed."""
-    zero = tower.zero()
-    if _sign_factors(m) is None:
-        zero = ParamScalar.from_field(zero)
-    else:
-        m = [[next(iter(v.terms.values()), zero) for v in row] for row in m]
-    d, one = len(m), tower.one()
-    return all(sum((m[i][k] * m[j][k] for k in range(d)), start=zero)
-               == (one if i == j else zero)
-               for i in range(d) for j in range(i, d))
-
-
 def _field_matrix_inverse(tower, m):
     """Inverse of a matrix over the field, by reducing [m | I]."""
     n = len(m)
@@ -265,18 +250,28 @@ def _field_matrix_inverse(tower, m):
 def _invert_param_matrix(tower, m):
     """Exact inverse of a matrix over the ring of p1/p2 sign polynomials.
 
-    If :func:`_sign_factors` writes m as D_row C D_col (C over the field, the
-    D diagonal sign monomials, each its own inverse), the inverse is
+    F Ft = I is tested first, stopping at the first entry that differs; when
+    it holds the inverse is Ft, sharing m's entries.  If :func:`_sign_factors`
+    writes m as D_row C D_col (C over the field, the D diagonal sign
+    monomials, each its own inverse), F Ft = D_row C Ct D_row is I exactly
+    when C Ct is, so the test forms field products only, and the inverse is
     D_col C^-1 D_row: one field inversion, entry (i, j) taking the monomial
     ``cols[i] ^ rows[j]``.  Otherwise (an entry like 1 + p1, or monomials
-    that do not factor) each distinct substituted matrix is inverted once and
-    every entry is read back from its four pointwise inverses by
-    :meth:`ParamScalar.from_points`.
+    that do not factor) F Ft is formed over the sign polynomials, and each
+    distinct substituted matrix is inverted once and every entry read back
+    from its four pointwise inverses by :meth:`ParamScalar.from_points`.
     """
-    if (factors := _sign_factors(m)) is not None:
-        (rows, cols), zero = factors, tower.zero()
-        inv = _field_matrix_inverse(tower, [
-            [next(iter(v.terms.values()), zero) for v in row] for row in m])
+    factors, zero, one, d = _sign_factors(m), tower.zero(), tower.one(), len(m)
+    if factors is None:
+        c, zero = m, ParamScalar.from_field(zero)
+    else:
+        c = [[next(iter(v.terms.values()), zero) for v in row] for row in m]
+    if all(sum((c[i][k] * c[j][k] for k in range(d)), start=zero)
+           == (one if i == j else zero) for i in range(d) for j in range(i, d)):
+        return [list(col) for col in zip(*m)]
+    if factors is not None:
+        rows, cols = factors
+        inv = _field_matrix_inverse(tower, c)
         return [[ParamScalar(tower, {cols[i] ^ rows[j]: x})
                  for j, x in enumerate(row)] for i, row in enumerate(inv)]
     invert = cache(partial(_field_matrix_inverse, tower))
@@ -284,8 +279,8 @@ def _invert_param_matrix(tower, m):
                                  for row in m))
           for s1 in (1, -1) for s2 in (1, -1)}
     return [[ParamScalar.from_points(
-                tower, {point: inv[r][c] for point, inv in at.items()})
-             for c in range(len(m))] for r in range(len(m))]
+                tower, {point: inv[i][j] for point, inv in at.items()})
+             for j in range(d)] for i in range(d)]
 
 
 class DatasetParseError(ValueError):

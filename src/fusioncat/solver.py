@@ -394,8 +394,7 @@ def _is_one_dim(ring: FusionRing, key: FKey) -> bool:
     return len(ring.e_labels(key.a, key.b, key.c, key.u)) == 1
 
 
-def propagate(partial: PartialTable,
-              max_rounds: int | None = None) -> tuple[PartialTable, SolveReport]:
+def propagate(partial: PartialTable) -> tuple[PartialTable, SolveReport]:
     """Deterministic fixpoint of the three propagation steps (no branching).
 
     The returned report carries the per-round resolution counts; branch
@@ -407,9 +406,7 @@ def propagate(partial: PartialTable,
     fold = partial._fold
     report = SolveReport(ring=ring.name, seeds=len(partial.known))
     start = time.monotonic()
-    rounds = 0
-    while max_rounds is None or rounds < max_rounds:
-        rounds += 1
+    while True:
         system = _System(partial, fold)
         fold = system.fold
         if system.contradiction:
@@ -427,7 +424,7 @@ def propagate(partial: PartialTable,
         branch_options: list[tuple[FKey, list[FieldScalar]]] = []
         if not assignments:
             candidates = system.univariate_roots()
-            if not candidates:
+            if not candidates and rewritten is not system.equations:
                 candidates = system.univariate_roots(rewritten)
             if not candidates:
                 candidates = system.univariate_roots(system.eliminated(rewritten))

@@ -2,15 +2,18 @@
 
 import hashlib
 import os
+import random
 import signal
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from fusioncat import cli
-from fusioncat.fsymbols import build_h3_table
+from fusioncat.exactnum import ParamScalar
+from fusioncat.fsymbols import GaugeAssignment, build_h3_table
 
 EXPECTED_ENTRIES = 1431
 
@@ -345,6 +348,67 @@ def test_solve_stdout_is_pinned(capsys):
         assert cli.main(["solve", "--builtin", ring]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, ring
+
+
+# sha256 of ``verify`` stdout without its wall-time line; the ``dataset:``
+# runs read the data sets ``_verify_data_sets`` writes
+VERIFY_SHA256 = {
+    ("--builtin", "h3"):
+        "2ecaaa79ac97ca0652b1204a8d7122060ff800631b77cc94026c4db3f5365068",
+    ("--builtin", "h3", "--params=+1,-1", "--jobs", "2"):
+        "2ecaaa79ac97ca0652b1204a8d7122060ff800631b77cc94026c4db3f5365068",
+    ("--builtin", "fib"):
+        "31d9ef8b7deea698b094dc9e779cdfd1cafdd210fe659f252be72ca4b4bb8e13",
+    ("--builtin", "ising", "--triviality", "vacuous"):
+        "b82b673b6d5146895da19679ac2204ec1227acc52451b7676a2a296cf109c458",
+    ("--builtin", "z3"):
+        "4f701bff74f8abcda3db27b857ec8c1297ec5107b9e9049560d236085bcad005",
+    ("dataset:gauged",):
+        "65f2f3128ecde9276e615c049f0235670e9a1f0a4eba2c5c364fb77daab07e2a",
+    ("dataset:all-zero",):
+        "476db02ce9ce86637316477e9442c85ccc7aeef96dd82056bb72ab21c77b3379",
+    ("dataset:rho-zero",):
+        "a6ad53f7c5e530adcafac59a7b574d78e440c032456877df2e8e0d574d0f80ce",
+}
+
+
+def _verify_data_sets(tmp_path):
+    """The data set under a rational gauge (orthogonality fails), with every
+    entry zero, and with its all-rho block zero (singular blocks)."""
+    table = build_h3_table()
+    h3 = table.ring
+    rng = random.Random(2024)
+    gauge = GaugeAssignment(h3)
+    for a in range(len(h3)):
+        for b in range(len(h3)):
+            for c in h3.fusion(a, b):
+                gauge.set(a, b, c, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    zero = ParamScalar.from_field(h3.tower.zero())
+    r = h3.label("r")
+    tables = {
+        "gauged": table.apply_gauge(gauge),
+        "all-zero": table.map_entries(lambda k, v: zero),
+        "rho-zero": table.map_entries(
+            lambda k, v: zero if k[:4] == (r, r, r, r) else v)}
+    paths = {}
+    for name, tab in tables.items():
+        paths[name] = tmp_path / f"{name}.fsym"
+        paths[name].write_text(tab.serialize())
+    return paths
+
+
+def test_verify_stdout_is_pinned(tmp_path, capsys):
+    paths = _verify_data_sets(tmp_path)
+    for args, want in VERIFY_SHA256.items():
+        argv, failing = list(args), args[0].startswith("dataset:")
+        if failing:
+            argv = ["--dataset", str(paths[args[0].split(":")[1]])]
+        assert cli.main(["verify", *argv]) == (1 if failing else 0), args
+        out = capsys.readouterr().out
+        kept = [line for line in out.splitlines(keepends=True)
+                if not line.startswith("pentagon wall time: ")]
+        assert len(kept) == out.count("\n") - 1, args
+        assert hashlib.sha256("".join(kept).encode()).hexdigest() == want, args
 
 
 def test_verify_rejects_jobs_below_one(capsys):

@@ -1207,21 +1207,44 @@ def _reference_orthogonal(m) -> bool:
                == (1 if i == j else 0) for i in range(d) for j in range(d))
 
 
+def _singular_tables(table, h3):
+    """The data set with every entry zero, and with its all-rho block zero."""
+    zero = ParamScalar.from_field(h3.tower.zero())
+    r = h3.label("r")
+    return [table.map_entries(lambda k, v: zero),
+            table.map_entries(lambda k, v: zero if k[:4] == (r, r, r, r) else v)]
+
+
 def test_block_inverse_matches_the_four_point_reference(table, h3):
     tower = h3.tower
-    reference = cache(lambda m: _reference_invert_param_matrix(tower, m))
+
+    @cache
+    def reference(m):
+        try:
+            return _reference_invert_param_matrix(tower, m)
+        except ValueError:
+            return None
+
     planted = _planted_table(table, h3)
     tables = [table, table.substitute_params(1, -1),
               table.apply_gauge(_random_gauge(h3, random.Random(2024))),
-              planted]
+              planted] + _singular_tables(table, h3)
     kinds = set()
+    singular = 0
     for tab in tables:
         tab = tab.map_entries(lambda k, v: v)  # no per-block results yet
         for blk in f_blocks(h3):
             m = tab.f_matrix(blk.a, blk.b, blk.c, blk.u)
-            assert tab.block_inverse(m) == reference(m), blk
+            if reference(m) is None:
+                singular += 1
+                with pytest.raises(ValueError, match="block matrix is singular"):
+                    tab.block_inverse(m)
+            else:
+                assert tab.block_inverse(m) == reference(m), blk
             assert tab.block_orthogonal(m) == _reference_orthogonal(m), blk
             kinds.add((_sign_factors(m) is not None, tab.block_orthogonal(m)))
+    # every block of the all-zero table and the one all-rho block
+    assert singular == len(f_blocks(h3)) + 1
     # factoring and not, orthogonal and not, all met
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
     # the orthogonality report is the reference per-block loop
@@ -1244,12 +1267,8 @@ def test_block_checks_do_not_depend_on_call_order(table, h3):
             runs.append({check: check(tab) for check in order})
         assert runs[0] == runs[1]
     # singular blocks are reported alike whichever check inverts them first
-    zero = ParamScalar.from_field(h3.tower.zero())
-    r = h3.label("r")
-    all_zero = table.map_entries(lambda k, v: zero)
-    rho_zero = table.map_entries(
-        lambda k, v: zero if k[:4] == (r, r, r, r) else v)
-    for base, first in ((all_zero, "(1,1,1;1)"), (rho_zero, "(r,r,r;r)")):
+    for base, first in zip(_singular_tables(table, h3),
+                           ("(1,1,1;1)", "(r,r,r;r)")):
         for order in permutations((check_addtriv, check_additional)):
             tab = base.map_entries(lambda k, v: v)
             got = {check: check(tab).failures for check in order}
@@ -1259,10 +1278,12 @@ def test_block_checks_do_not_depend_on_call_order(table, h3):
 
 def test_data_set_blocks_need_no_elimination_and_results_die_with_the_table(
         table, h3, monkeypatch):
-    calls = []
-    eliminate = fsymbols._field_matrix_inverse
+    calls, split = [], []
+    eliminate, factors = fsymbols._field_matrix_inverse, fsymbols._sign_factors
     monkeypatch.setattr(fsymbols, "_field_matrix_inverse",
                         lambda *args: calls.append(args) or eliminate(*args))
+    monkeypatch.setattr(fsymbols, "_sign_factors",
+                        lambda m: split.append(m) or factors(m))
     checks = (FSymbolTable.check_orthogonality, check_triangle, check_seeds,
               check_addtriv, check_additional)
     for tab in [table] + [table.substitute_params(p1, p2)
@@ -1270,12 +1291,21 @@ def test_data_set_blocks_need_no_elimination_and_results_die_with_the_table(
         tab = tab.map_entries(lambda k, v: v)
         assert all(check(tab).passed for check in checks)
     assert calls == []
+    # the gauged blocks do take elimination, in the orthogonality check that
+    # reads their inverses; check_additional reuses every one of them, and
+    # each distinct block matrix is split into signs and field part once
+    del split[:]
     gauged = table.apply_gauge(_random_gauge(h3, random.Random(2024)))
     assert not gauged.check_orthogonality().passed
-    assert calls == []
-    # the inverses of the gauged blocks do take elimination, and are kept on
-    # the table only: a weak reference to it dies with it
-    assert check_additional(gauged).passed and calls
+    eliminated = len(calls)
+    assert eliminated
+    assert check_additional(gauged).passed and len(calls) == eliminated
+    matrices = {gauged.f_matrix(blk.a, blk.b, blk.c, blk.u)
+                for blk in f_blocks(h3)}
+    assert len(matrices) < len(f_blocks(h3))
+    assert len(split) == len(matrices) and set(split) == matrices
+    # the inverses are kept on the table only: a weak reference to it dies
+    # with it
     dead = weakref.ref(gauged)
     del gauged
     gc.collect()

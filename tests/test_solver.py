@@ -193,7 +193,7 @@ def test_h3_seeds_agree_with_dataset():
     assert report.compared == 173
     assert report.all_exact
     # no pentagon instance over seeded entries alone may have a residual
-    state2, prop = propagate(state, max_rounds=1)
+    state2, prop = propagate(state)
     assert prop.contradiction is None
 
 
@@ -266,7 +266,7 @@ def test_incremental_fold_matches_fold_from_scratch(monkeypatch):
         assert built == [False] + [True] * (systems - 1)
     h3 = builtin_ring("h3")
     del built[:]
-    state, report = propagate(seed(h3), max_rounds=1)
+    state, report = propagate(seed(h3))
     assert built == [False] and report.contradiction is None
     # h3 from the empty assignment to the seeds: 173 keys change at once
     empty = _System(PartialTable(h3, {}))
