@@ -194,20 +194,18 @@ class FieldScalar:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return FieldScalar(self.tower, tuple(v * other for v in self._num),
-                               self._den)
-        if isinstance(other, Fraction):
+        # a FieldScalar first: the Fraction test is an ABC check per call
+        if not isinstance(other, FieldScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return FieldScalar(self.tower,
                                tuple(v * other.numerator for v in self._num),
                                self._den * other.denominator)
-        if not isinstance(other, FieldScalar):
-            return NotImplemented
         if other.tower is not self.tower:
             raise ValueError(
                 f"tower mismatch: {self.tower.name} vs {other.tower.name}")
         tower = self.tower
-        out = [0] * tower.degree
+        out = [0] * len(self._num)
         ptab = tower._ptab
         for i, xi in enumerate(self._num):
             if not xi:

@@ -257,11 +257,12 @@ def _additional_plan(ring: FusionRing) -> _Plan:
     return plan
 
 
-def _readers(slots: array, starts: array, count: int) -> list[array]:
-    """For each of ``count`` positions, an ``array('I')`` of the ascending
-    numbers of the checks that read it, each once: check ``i`` reads
-    ``slots[starts[i]:starts[i + 1]]``, and may read a position twice."""
-    out = [array("I") for _ in range(count)]
+def _readers(slots: array, starts: array, count: int,
+             typecode: str) -> list[array]:
+    """For each of ``count`` positions, an ``array(typecode)`` of the
+    ascending numbers of the checks that read it, each once: check ``i``
+    reads ``slots[starts[i]:starts[i + 1]]``, and may read one twice."""
+    out = [array(typecode) for _ in range(count)]
     for i in range(len(starts) - 1):
         for p in set(slots[starts[i]:starts[i + 1]]):
             out[p].append(i)
@@ -273,7 +274,7 @@ def _key_checks(ring: FusionRing) -> dict[FKey, array]:
     """FKey -> the ascending numbers of the pentagon checks that read it,
     the keys in the order of their first check, then of position."""
     plan, keys = _pentagon_plan(ring), ring._fkeys
-    readers = _readers(plan.slots, plan.starts, len(keys))
+    readers = _readers(plan.slots, plan.starts, len(keys), "I")
     first = sorted((found[0], p) for p, found in enumerate(readers) if found)
     return {keys[p]: readers[p] for _, p in first}
 
@@ -333,6 +334,19 @@ class _Directions:
             self.prims.append(prim)
         return g, pid
 
+    def compile(self, scalars) -> tuple[int, dict]:
+        """``(L, splits)`` for nonzero field elements: ``L`` the lcm of their
+        denominators, ``splits`` each one's ``integer_coords()`` ->
+        ``(n, pid)``, the element being ``n / L`` times ``prims[pid]``."""
+        splits = {}
+        for x in scalars:
+            num, den = coords = x.integer_coords()
+            if coords not in splits:
+                splits[coords] = self.intern(num) + (den,)
+        den_l = lcm(*(den for _, _, den in splits.values()))
+        return den_l, {c: (g * (den_l // den), pid)
+                       for c, (g, pid, den) in splits.items()}
+
     def product(self, pids: tuple[int, ...], factor: int, width: int) -> int:
         """The integer coordinates of B * factor * (product of the
         directions), coordinate k in the bits from ``k * width`` upward
@@ -341,6 +355,33 @@ class _Directions:
                                 for p in pids)).integer_coords()
         return (reduce(lambda acc, v: (acc << width) + v, reversed(num), 0)
                 * (self.den_b // den * factor))
+
+    def width(self, den_l: int, pairs: int, triples: int) -> int:
+        """Bits per packed coordinate that hold, as balanced digits, each
+        coordinate of a sum of products of two directions times ``L * B``
+        (``L`` is ``den_l``) and of three times ``B``, with integer
+        coefficients of absolute values summing to at most ``pairs`` and
+        ``triples``: with ``X`` the largest absolute direction coordinates
+        and ``|*|`` the product under the absolute tower product table
+        (integers over its denominator ``d``, so ``B = d**2``), coordinate
+        ``k`` of ``B * x * y`` is at most ``d * (X |*| X)[k]``, and that of
+        ``B * x * y * z`` at most ``((X |*| X) |*| X)[k]``."""
+        tower, ptab = self.tower, self.tower._ptab
+
+        def abs_mul(x, y):
+            out = [0] * tower.degree
+            for i, xi in enumerate(x):
+                for j, yj in enumerate(y):
+                    for k, c in ptab[i][j]:
+                        out[k] += xi * yj * abs(c)
+            return out
+
+        x = [max((abs(p[i]) for p in self.prims), default=0)
+             for i in range(tower.degree)]
+        xx = abs_mul(x, x)
+        bound = max(pairs * den_l * tower._pden * c2 + triples * c3
+                    for c2, c3 in zip(xx, abs_mul(xx, x)))
+        return bound.bit_length() + 1
 
 
 def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
@@ -391,16 +432,9 @@ class _Kernel:
         # the distinct value objects in first-occurrence order; the entries
         # keep them alive, so their ids stay unique for this call
         distinct = {id(v): v for entries in maps for v in entries.values()}
-        # distinct coordinates -> (g, pid, den), then -> (g * L / den, pid)
-        splits: dict[tuple, tuple] = {}
-        for v in distinct.values():
-            for coeff in v.terms.values():
-                num, den = coords = coeff.integer_coords()
-                if coords not in splits:
-                    splits[coords] = dirs.intern(num) + (den,)
-        den_l = self.den_l = lcm(*(den for _, _, den in splits.values()))
-        for coords, (g, pid, den) in splits.items():
-            splits[coords] = (g * (den_l // den), pid)
+        den_l, splits = dirs.compile(
+            c for v in distinct.values() for c in v.terms.values())
+        self.den_l = den_l
         compiled = {i: tuple((m,) + splits[c.integer_coords()]
                              for m, c in v.terms.items())
                     for i, v in distinct.items()}
@@ -419,41 +453,14 @@ class _Kernel:
             lambda k: dirs.product((i, j, k), 1, width))))
 
     def _width(self, summands: int, values) -> int:
-        """Bits per packed coordinate, from a bound on any coordinate of a
-        residual with at most ``summands`` products of three of ``values``
-        (each compiled value once is enough).
-
-        Let ``X`` hold, coordinate by coordinate, the largest absolute value
-        over the directions, and let ``|*|`` multiply such vectors with the
-        absolute values of the tower's product table (integers over its
-        denominator ``d``, so ``B = d**2``).  The ``k``-th coordinate of
-        ``B * x * y`` is then at most ``d * (X |*| X)[k]``, and that of
-        ``B * x * y * z`` at most ``((X |*| X) |*| X)[k]``.  A residual adds
-        at most ``T**2`` left-hand terms, each an ``n * n'`` times ``L``
-        times the former, and ``summands * T**3`` right-hand ones, each an
-        ``n * n' * n''`` times the latter, with ``T`` the most terms of a
-        value and ``|n| <= N``.
-        """
-        tower = self.tower
-        ptab = tower._ptab
-
-        def abs_mul(x, y):
-            out = [0] * tower.degree
-            for i, xi in enumerate(x):
-                for j, yj in enumerate(y):
-                    for k, c in ptab[i][j]:
-                        out[k] += xi * yj * abs(c)
-            return out
-
-        x = [max((abs(p[i]) for p in self.dirs.prims), default=0)
-             for i in range(tower.degree)]
-        xx = abs_mul(x, x)
-        xxx = abs_mul(xx, x)
+        """Bits per packed coordinate of a residual with at most ``summands``
+        products of three of ``values`` (:meth:`_Directions.width`): ``T**2``
+        products of two times an ``n * n'`` and ``summands * T**3`` of three
+        times an ``n * n' * n''``, with ``T`` the most terms of a value and
+        ``|n| <= N``."""
         n = max((abs(t[1]) for v in values for t in v), default=0)
         tn = max(map(len, values)) * n
-        bound = max(tn ** 2 * self.den_l * tower._pden * c2
-                    + summands * tn ** 3 * c3 for c2, c3 in zip(xx, xxx))
-        return bound.bit_length() + 1
+        return self.dirs.width(self.den_l, tn ** 2, summands * tn ** 3)
 
     def accumulate(self, f1, f2, triples) -> list[int]:
         """The packed coordinates of ``f1 * f2 - sum of g1 * g2 * g3`` over

@@ -28,7 +28,11 @@ unknowns, or a contradiction.  Each propagation round moves the fold to the
 current knowns, re-folding only the equations that read a key whose value
 changed, and a branch child of :func:`solve` starts from its parent's fold.
 The round's system is then read off in plan order, so it has exactly the
-equations and the first contradiction of a fold from scratch.
+equations and the first contradiction of a fold from scratch.  A fold
+multiplies known values as the pentagon kernel does, in packed integer
+tower coordinates, and the first one, from the empty assignment, folds only
+the block rows, the relations and the pentagon equations that read a known
+key: over no knowns every other equation has too many unknowns to keep.
 """
 
 from __future__ import annotations
@@ -38,14 +42,16 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress
+from math import lcm
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant)
 from .fsymbols import FSymbolTable
 from .fusionring import (FKey, FusionRing, builtin_ring, enumerate_fkeys,
                          f_blocks, is_h3)
-from .pentagon import (_pentagon_plan, _per_ring, _readers,
-                       _square_pop_relations, verify_all)
+from .pentagon import (_Directions, _Memo, _pentagon_plan, _per_ring,
+                       _readers, _square_pop_relations, _unpack, verify_all)
 
 Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> coeff
 
@@ -165,13 +171,23 @@ class _Plan:
              for negated, terms in ((False, [lhs]), (True, rhs))
              for factor, *ks in terms]
             for lhs, rhs in _square_pop_relations(ring).values()]
-        self.one = ring.tower.one()
+        # flags the equations a fold over no knowns may keep (on a built-in
+        # ring, no pentagon one)
+        self.unkeyed = bytearray(
+            i >= self.n_pentagon or offsets[i + 1] - offsets[i] <= _MAX_UNKNOWNS
+            for i in range(self.n_equations + len(self.registered)))
+        # the most terms of an equation: summands, columns or two, plus one
+        self.most_terms = 1 + max(2, *map(len, ring._fusion.values()))
+        self.tower = ring.tower
 
     @cached_property
     def _by_key(self) -> list[array]:
         """For each key position, the equations and then the registered
-        relations (numbered after the equations) that read it."""
-        by_key = _readers(self.slots, self.offsets, len(self.keys))
+        relations (numbered after the equations) that read it, in 16 bits
+        when they fit (h3: 0.8 MB, 1.5 MB in 32 bits)."""
+        n = self.n_equations + len(self.registered)
+        by_key = _readers(self.slots, self.offsets, len(self.keys),
+                          "H" if n <= 1 << 16 else "I")
         for i, terms in enumerate(self.registered, start=self.n_equations):
             for p in {p for _, positions, _ in terms for p in positions}:
                 by_key[p].append(i)
@@ -190,7 +206,12 @@ class _Fold:
     than that many unknown key slots), an equation (Poly) or a contradiction
     message.  :meth:`updated` re-folds only the equations that read a key
     whose value changed, so the outcomes always equal those of a fold from
-    scratch.
+    scratch; a first fold is an update from the empty assignment, over
+    which only the ``plan.unkeyed`` equations are not None.  An update
+    compiles the known values as the pentagon kernel does; each unknown
+    monomial sums, as one packed integer, the products of its terms' known
+    factors scaled to ``L**3 * B``, in a width proven from the compiled
+    values.
     """
 
     __slots__ = ("plan", "values", "outcomes")
@@ -205,65 +226,94 @@ class _Fold:
         plan = self.plan
         values = [known.get(k) for k in plan.keys]
         n = plan.n_equations + len(plan.registered)
+        # flags of the equations to re-fold: a set would take 0.5 MB on h3
         if self.outcomes is None:
-            touched = range(n)
+            outcomes, touched = [None] * n, bytearray(plan.unkeyed)
+            changed = [p for p, v in enumerate(values) if v is not None]
         else:
-            changed = {p for p, (v, w) in enumerate(zip(values, self.values))
-                       if v is not w}
+            changed = [p for p, (v, w) in enumerate(zip(values, self.values))
+                       if v is not w]
             if not changed:
                 return self
-            touched = {i for p in changed for i in plan._by_key[p]}
+            outcomes, touched = list(self.outcomes), bytearray(n)
+        for p in changed:
+            for i in plan._by_key[p]:
+                touched[i] = 1
         new = copy.copy(self)
-        new.values = values
-        new.outcomes = [None] * n if self.outcomes is None else list(self.outcomes)
-        for i in touched:
-            new.outcomes[i] = new._fold(i)
+        new.values, new.outcomes = values, outcomes
+        fold = new._folder()
+        for i in compress(range(n), touched):
+            outcomes[i] = fold(i)
         return new
 
-    def _fold(self, i: int):
-        values = self.values
-        plan = self.plan
-        n_unknown = None
-        diagonal = False
-        if i < plan.n_equations:
-            sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
-            if i < plan.n_pentagon:
-                n_unknown = [values[p] is None for p in sl].count(True)
-                if n_unknown > _MAX_UNKNOWNS:
-                    return None
-                terms = [(None, sl[:2], False)] + [
-                    (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
-            else:
-                terms = [(None, sl[k:k + 2], False) for k in range(0, len(sl), 2)]
-                diagonal = i in plan.diagonal
-        else:
-            terms = plan.registered[i - plan.n_equations]
-        poly: Poly = {}
-        for factor, positions, negated in terms:
-            coeff = factor
-            mono = []
-            for p in positions:
-                v = values[p]
-                if v is None:
-                    mono.append(p)
+    def _folder(self):
+        """The fold of one equation over ``self.values``, by number."""
+        plan, values, tower = self.plan, self.values, self.plan.tower
+        dirs = _Directions(tower)
+        # with 1 compiled, a term of fewer than three known factors is
+        # bounded as one padded with ones; a zero value's n of 0 drops it
+        factors = (f for terms in plan.registered for f, _, _ in terms)
+        distinct = {id(v): v for v in chain(values, factors, [tower.one()])
+                    if v is not None and not v.is_zero()}
+        den_l, splits = dirs.compile(distinct.values())
+        compiled = {i: splits[v.integer_coords()] for i, v in distinct.items()}
+        known = [None if v is None else compiled.get(id(v), (0, 0))
+                 for v in values]
+        n_max = max(abs(n) for n, _ in compiled.values())
+        width = dirs.width(den_l, 0, plan.most_terms * n_max ** 3)
+        scale = den_l ** 3 * dirs.den_b
+        # the packed products of sorted direction ids, scaled to L**3 * B,
+        # and one coefficient object per packed sum
+        products = _Memo(lambda pids: dirs.product(
+            pids, den_l ** (3 - len(pids)), width) if pids else scale)
+        coefficients = _Memo(lambda packed: FieldScalar(
+            tower, _unpack(packed, width, tower.degree), scale))
+
+        def fold(i: int):
+            n_unknown = None
+            if i < plan.n_equations:
+                sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
+                if i < plan.n_pentagon:
+                    n_unknown = [known[p] is None for p in sl].count(True)
+                    if n_unknown > _MAX_UNKNOWNS:
+                        return None
+                    terms = [(None, sl[:2], False)] + [
+                        (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
                 else:
-                    coeff = v if coeff is None else coeff * v
-            if coeff is None:
-                coeff = plan.one
-            if coeff.is_zero():
-                continue
-            add_scaled(poly, {tuple(sorted(mono)): -coeff if negated else coeff})
-        if diagonal:
-            add_scaled(poly, {(): -plan.one})
-        if not poly:
-            return None
-        unknowns = {p for m in poly for p in m}
-        if not unknowns:
-            return (_PENTAGON_CONTRADICTION if n_unknown == 0
-                    else _KNOWN_CONTRADICTION)
-        if len(unknowns) > _MAX_UNKNOWNS:
-            return None
-        return poly
+                    terms = [(None, sl[k:k + 2], False)
+                             for k in range(0, len(sl), 2)]
+                    if i in plan.diagonal:
+                        terms.append((None, (), True))
+            else:
+                terms = plan.registered[i - plan.n_equations]
+            sums: dict[tuple[int, ...], int] = {}
+            for factor, positions, negated in terms:
+                c, pids, mono = 1, [], []
+                if factor is not None:
+                    c, pid = compiled[id(factor)]
+                    pids.append(pid)
+                for p in positions:
+                    k = known[p]
+                    if k is None:
+                        mono.append(p)
+                    else:
+                        c *= k[0]
+                        pids.append(k[1])
+                if c:
+                    mono = tuple(sorted(mono))
+                    c *= products[tuple(sorted(pids))]
+                    sums[mono] = sums.get(mono, 0) + (-c if negated else c)
+            poly: Poly = {m: coefficients[s] for m, s in sums.items() if s}
+            if not poly:
+                return None
+            unknowns = {p for m in poly for p in m}
+            if not unknowns:
+                return (_PENTAGON_CONTRADICTION if n_unknown == 0
+                        else _KNOWN_CONTRADICTION)
+            if len(unknowns) > _MAX_UNKNOWNS:
+                return None
+            return poly
+        return fold
 
 
 class _System:
@@ -379,7 +429,10 @@ class _System:
                 # one root when s is zero, since then s == -s
                 inv = (2 * c2).inverse()
                 roots = [(-c1 + r) * inv for r in {s, -s}]
-            out[uid] = sorted(roots, key=lambda v: v.coords, reverse=True)
+            # by coordinates, as integers over a common denominator
+            den = lcm(*(v.integer_coords()[1] for v in roots))
+            out[uid] = sorted(roots, reverse=True, key=lambda v: [
+                x * (den // v.integer_coords()[1]) for x in v.integer_coords()[0]])
         return sorted(out.items())
 
     def eliminated(self, equations=None) -> list[Poly]:

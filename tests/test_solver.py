@@ -1,10 +1,15 @@
 """Seeded propagation solver against independently brute-forced oracles."""
 
+import gc
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+from test_pentagon import _field_valued_gauge
+
 from fusioncat import solver
-from fusioncat.exactnum import FieldScalar
+from fusioncat.exactnum import FieldScalar, add_scaled
 from fusioncat.fsymbols import all_ones_table, build_h3_table
 from fusioncat.fusionring import FKey, builtin_ring, enumerate_fkeys, f_blocks
 from fusioncat.pentagon import (_raw_instances, _square_pop_relations,
@@ -382,3 +387,135 @@ def test_square_pop_relations_in_the_plan_hold_and_catch_a_sign():
             outcomes = flipped.fold.outcomes[n:]
             assert isinstance(outcomes[own], str)
             assert outcomes[1 - own] is None
+
+
+def _reference_fold(plan, values, i):
+    """Equation ``i`` of a plan folded over ``values`` with FieldScalar
+    products, one term at a time (reference path for the packed fold)."""
+    n_unknown = None
+    diagonal = False
+    if i < plan.n_equations:
+        sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
+        if i < plan.n_pentagon:
+            n_unknown = [values[p] is None for p in sl].count(True)
+            if n_unknown > solver._MAX_UNKNOWNS:
+                return None
+            terms = [(None, sl[:2], False)] + [
+                (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
+        else:
+            terms = [(None, sl[k:k + 2], False) for k in range(0, len(sl), 2)]
+            diagonal = i in plan.diagonal
+    else:
+        terms = plan.registered[i - plan.n_equations]
+    one = plan.tower.one()
+    poly = {}
+    for factor, positions, negated in terms:
+        coeff = factor
+        mono = []
+        for p in positions:
+            v = values[p]
+            if v is None:
+                mono.append(p)
+            else:
+                coeff = v if coeff is None else coeff * v
+        if coeff is None:
+            coeff = one
+        if coeff.is_zero():
+            continue
+        add_scaled(poly, {tuple(sorted(mono)): -coeff if negated else coeff})
+    if diagonal:
+        add_scaled(poly, {(): -one})
+    if not poly:
+        return None
+    unknowns = {p for m in poly for p in m}
+    if not unknowns:
+        return (solver._PENTAGON_CONTRADICTION if n_unknown == 0
+                else solver._KNOWN_CONTRADICTION)
+    if len(unknowns) > solver._MAX_UNKNOWNS:
+        return None
+    return poly
+
+
+def _assert_fold_matches_reference(fold):
+    plan = fold.plan
+    n = plan.n_equations + len(plan.registered)
+    assert fold.outcomes == [_reference_fold(plan, fold.values, i)
+                             for i in range(n)]
+    return fold.outcomes
+
+
+def test_packed_fold_matches_the_reference_fold(monkeypatch):
+    for name in ("z3_pointed", "fibonacci", "ising", "h3"):
+        _assert_fold_matches_reference(_System(seed(builtin_ring(name))).fold)
+    # every system the ising search builds, fresh or moved
+    original = solver._System
+
+    class Checked(original):
+        def __init__(self, partial, fold=None):
+            super().__init__(partial, fold)
+            _assert_fold_matches_reference(self.fold)
+            built.append(fold is not None)
+
+    built = []
+    monkeypatch.setattr(solver, "_System", Checked)
+    assert len(solve("ising")) == 16 and len(built) == 239
+    monkeypatch.undo()
+    # wide coefficients: the h3 data set under a field-valued gauge at
+    # (+1, +1), one key in four unknown and one known key negated, so that
+    # many equations keep at most four unknowns and some none; the fold
+    # from scratch and the fold moved from the seeds' agree
+    h3 = builtin_ring("h3")
+    rng = random.Random(28)
+    gauged = build_h3_table().apply_gauge(_field_valued_gauge(h3, rng))
+    keys = sorted(gauged.entries, key=lambda k: k.sort_key)
+    known = {k: gauged.entries[k].substitute(1, 1)
+             for k in rng.sample(keys, len(keys) - len(keys) // 4)}
+    key = rng.choice(sorted(known, key=lambda k: k.sort_key))
+    known[key] = -known[key]
+    outcomes = _assert_fold_matches_reference(
+        _System(PartialTable(h3, known)).fold)
+    assert _System(PartialTable(h3, known), _System(seed(h3)).fold
+                   ).fold.outcomes == outcomes
+    polys = [o for o in outcomes if o.__class__ is dict]
+    assert len(polys) > 30000 and outcomes.count(solver._KNOWN_CONTRADICTION)
+
+
+def test_a_fold_from_no_knowns_folds_only_what_a_known_key_reaches():
+    # every pentagon equation reads more than _MAX_UNKNOWNS slots, so over
+    # no knowns only the block rows and the relations are left to fold
+    for name in ("z3_pointed", "fibonacci", "ising", "h3"):
+        ring = builtin_ring(name)
+        plan = solver._plan(ring)
+        n = plan.n_equations + len(plan.registered)
+        assert all(plan.offsets[i + 1] - plan.offsets[i] > solver._MAX_UNKNOWNS
+                   for i in range(plan.n_pentagon))
+        assert plan.unkeyed == bytes(plan.n_pentagon) + b"\1" * (
+            n - plan.n_pentagon)
+        _assert_fold_matches_reference(_System(PartialTable(ring, {})).fold)
+    # the h3 seeds reach 7954 of the 41391 pentagon equations
+    positions = {k: p for p, k in enumerate(plan.keys)}
+    assert len({i for k in seed(ring).known for i in plan._by_key[positions[k]]
+                if i < plan.n_pentagon}) == 7954
+
+
+def test_fold_memory_stays_small():
+    """What the h3 per-key equation lists hold, and what propagating the h3
+    seeds keeps and takes at most."""
+    h3 = builtin_ring("h3")
+    plan = solver._plan(h3)
+    assert plan._by_key  # built before tracing, as the propagation reads it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        by_key = solver._Plan._by_key.func(plan)
+        held, peak = tracemalloc.get_traced_memory()
+        del by_key
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        state, report = propagate(seed(h3))
+        kept, fold_peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert report.remaining == 1258
+    assert held < 1_000_000 and peak < 1_000_000
+    assert kept < 1_600_000 and fold_peak < 1_600_000
