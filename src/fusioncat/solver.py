@@ -30,9 +30,11 @@ changed, and a branch child of :func:`solve` starts from its parent's fold.
 The round's system is then read off in plan order, so it has exactly the
 equations and the first contradiction of a fold from scratch.  A fold
 multiplies known values as the pentagon kernel does, in packed integer
-tower coordinates, and the first one, from the empty assignment, folds only
-the block rows, the relations and the pentagon equations that read a known
-key: over no knowns every other equation has too many unknowns to keep.
+tower coordinates compiled once for its lineage and extended by each
+update.  The first fold, from the empty assignment, folds only the block
+rows, the relations and the pentagon equations that read a known key (over
+no knowns every other one has too many unknowns to keep), and no fold
+folds an identical-rule equation while the unit-label keys are 1.
 """
 
 from __future__ import annotations
@@ -85,10 +87,18 @@ class SolveReport:
     remaining: int = 0
     contradiction: str | None = None
     duration: float = 0.0
+    # a search's leaves with unknowns and no branch option, and its nodes
+    # left unbranched for want of budget: complete when both are 0
+    stalled: int = 0
+    budget_cut: int = 0
 
     @property
     def resolved(self) -> int:
         return sum(self.rounds)
+
+    @property
+    def complete(self) -> bool:
+        return self.stalled == self.budget_cut == 0
 
     def render(self) -> str:
         lines = [f"ring={self.ring} seeds={self.seeds}"]
@@ -179,6 +189,12 @@ class _Plan:
         # the most terms of an equation: summands, columns or two, plus one
         self.most_terms = 1 + max(2, *map(len, ring._fusion.values()))
         self.tower = ring.tower
+        # the unit-label keys, and the pentagon equations' triviality bits
+        # (see classify): with those keys 1, both sides of an equation the
+        # identical rule marks (bit 2) are one product
+        self.unit_keys = [p for p, k in enumerate(self.keys)
+                          if ring.unit in (k.a, k.b, k.c)]
+        self.trivial = pentagon.trivial
 
     @cached_property
     def _by_key(self) -> list[array]:
@@ -207,67 +223,85 @@ class _Fold:
     message.  :meth:`updated` re-folds only the equations that read a key
     whose value changed, so the outcomes always equal those of a fold from
     scratch; a first fold is an update from the empty assignment, over
-    which only the ``plan.unkeyed`` equations are not None.  An update
-    compiles the known values as the pentagon kernel does; each unknown
-    monomial sums, as one packed integer, the products of its terms' known
-    factors scaled to ``L**3 * B``, in a width proven from the compiled
-    values.
+    which only the ``plan.unkeyed`` equations are not None.  While every
+    unit-label key is 1, no identical-rule equation is folded: it would
+    cancel.  Each unknown monomial sums, as one packed integer, the products
+    of its terms' known factors scaled to ``L**3 * B``, in a width proven
+    from the compiled values.  A moved fold inherits its compile state: the
+    interned ``dirs`` and the values ``met`` only grow along the lineage,
+    and a new value recompiles ``splits`` (each value as ``(n, pid)``), ``L``
+    and the width, the product memos kept while ``L`` and the width stay.
     """
 
-    __slots__ = ("plan", "values", "outcomes")
+    __slots__ = ("plan", "values", "outcomes", "known", "dirs", "met",
+                 "splits", "den_l", "width", "products", "coefficients")
 
     def __init__(self, plan: _Plan):
-        self.plan = plan
-        self.values: list[FieldScalar | None] = []
-        self.outcomes: list | None = None
+        self.plan, self.outcomes = plan, None
+        # each position's value and its (n, pid), None while unknown
+        self.values = self.known = [None] * len(plan.keys)
+        self.dirs, self.den_l, self.width = _Directions(plan.tower), 0, 0
+        # with 1 compiled, a term of fewer than three known factors is
+        # bounded as one padded with ones
+        self.met = {v.integer_coords(): v for v in chain(
+            [plan.tower.one()], (f for ts in plan.registered for f, _, _ in ts))}
+        self._compile()
+
+    def _compile(self) -> None:
+        dirs = self.dirs
+        den_l, self.splits = dirs.compile(self.met.values())
+        n_max = max(abs(n) for n, _ in self.splits.values())
+        width = dirs.width(den_l, 0, self.plan.most_terms * n_max ** 3)
+        if (den_l, width) != (self.den_l, self.width):
+            self.den_l, self.width = den_l, width
+            scale, tower = den_l ** 3 * dirs.den_b, dirs.tower
+            # the packed products of sorted direction ids, scaled to
+            # L**3 * B, and one coefficient object per packed sum
+            self.products = _Memo(lambda pids: dirs.product(
+                pids, den_l ** (3 - len(pids)), width) if pids else scale)
+            self.coefficients = _Memo(lambda packed: FieldScalar(
+                tower, _unpack(packed, width, tower.degree), scale))
 
     def updated(self, known: dict[FKey, FieldScalar]) -> "_Fold":
         """This fold moved to ``known``; self is left as it is."""
         plan = self.plan
         values = [known.get(k) for k in plan.keys]
         n = plan.n_equations + len(plan.registered)
+        changed = [p for p, (v, w) in enumerate(zip(values, self.values))
+                   if v is not w]
         # flags of the equations to re-fold: a set would take 0.5 MB on h3
         if self.outcomes is None:
             outcomes, touched = [None] * n, bytearray(plan.unkeyed)
-            changed = [p for p, v in enumerate(values) if v is not None]
+        elif not changed:
+            return self
         else:
-            changed = [p for p, (v, w) in enumerate(zip(values, self.values))
-                       if v is not w]
-            if not changed:
-                return self
             outcomes, touched = list(self.outcomes), bytearray(n)
         for p in changed:
             for i in plan._by_key[p]:
                 touched[i] = 1
         new = copy.copy(self)
-        new.values, new.outcomes = values, outcomes
+        new.values, new.outcomes, new.known = values, outcomes, list(self.known)
+        fresh = {v.integer_coords(): v for v in map(values.__getitem__, changed)
+                 if v is not None and not v.is_zero()}
+        if any(c not in self.splits for c in fresh):
+            new.met.update(fresh)
+            new._compile()
+        for p in changed if new.den_l == self.den_l else range(len(values)):
+            v = values[p]
+            new.known[p] = None if v is None else new.splits.get(
+                v.integer_coords(), (0, 0))
         fold = new._folder()
+        one = new.splits[plan.tower.one().integer_coords()]
+        cancel = plan.trivial if all(
+            new.known[p] == one for p in plan.unit_keys) else b""
         for i in compress(range(n), touched):
-            outcomes[i] = fold(i)
+            outcomes[i] = None if i < len(cancel) and cancel[i] & 2 else fold(i)
         return new
 
     def _folder(self):
         """The fold of one equation over ``self.values``, by number."""
-        plan, values, tower = self.plan, self.values, self.plan.tower
-        dirs = _Directions(tower)
-        # with 1 compiled, a term of fewer than three known factors is
-        # bounded as one padded with ones; a zero value's n of 0 drops it
-        factors = (f for terms in plan.registered for f, _, _ in terms)
-        distinct = {id(v): v for v in chain(values, factors, [tower.one()])
-                    if v is not None and not v.is_zero()}
-        den_l, splits = dirs.compile(distinct.values())
-        compiled = {i: splits[v.integer_coords()] for i, v in distinct.items()}
-        known = [None if v is None else compiled.get(id(v), (0, 0))
-                 for v in values]
-        n_max = max(abs(n) for n, _ in compiled.values())
-        width = dirs.width(den_l, 0, plan.most_terms * n_max ** 3)
-        scale = den_l ** 3 * dirs.den_b
-        # the packed products of sorted direction ids, scaled to L**3 * B,
-        # and one coefficient object per packed sum
-        products = _Memo(lambda pids: dirs.product(
-            pids, den_l ** (3 - len(pids)), width) if pids else scale)
-        coefficients = _Memo(lambda packed: FieldScalar(
-            tower, _unpack(packed, width, tower.degree), scale))
+        plan, known, splits = self.plan, self.known, self.splits
+        products, coefficients = self.products, self.coefficients
 
         def fold(i: int):
             n_unknown = None
@@ -290,7 +324,7 @@ class _Fold:
             for factor, positions, negated in terms:
                 c, pids, mono = 1, [], []
                 if factor is not None:
-                    c, pid = compiled[id(factor)]
+                    c, pid = splits[factor.integer_coords()]
                     pids.append(pid)
                 for p in positions:
                     k = known[p]
@@ -340,15 +374,18 @@ class _System:
 
     def linear_assignments(self, equations=None) -> dict[int, FieldScalar]:
         """Each unknown's value from the first equation that fixes it
-        linearly; a later one that disagrees sets the contradiction."""
+        linearly; a later one it does not solve sets the contradiction."""
         out: dict[int, FieldScalar] = {}
+        zero = self.ring.tower.zero()
         for poly in (self.equations if equations is None else equations):
             monos = [m for m in poly if m]
             if len(monos) != 1 or len(monos[0]) != 1:
                 continue
             (uid,) = monos[0]
-            value = -poly.get((), self.ring.tower.zero()) / poly[monos[0]]
-            if out.setdefault(uid, value) != value and self.contradiction is None:
+            c0, c1 = poly.get((), zero), poly[monos[0]]
+            if uid not in out:
+                out[uid] = -c0 / c1
+            elif not (c1 * out[uid] + c0).is_zero() and self.contradiction is None:
                 self.contradiction = "inconsistent linear conclusions"
         return out
 
@@ -356,16 +393,26 @@ class _System:
         """Equations with two-term aliases X_i = lam * X_j substituted away.
 
         Aliases are collected with a union-find whose edges carry the exact
-        field factor, so chains and sign flips compose correctly.
+        field factor, so chains and sign flips compose correctly; ``find``
+        compresses paths, and an equation with no alias passes as it is.
         """
         parent: dict[int, tuple[int, FieldScalar]] = {}
         one = self.ring.tower.one()
 
-        def find(i: int) -> tuple[int, FieldScalar]:
-            factor = one
+        def times(x, y):  # x * y, None for 1, with no product by exactly 1
+            return (x if y is None or y == one else
+                    y if x is None or x == one else x * y)
+
+        def find(i: int) -> tuple[int, FieldScalar | None]:
+            # the root r of i and f in X_i = f * X_r, None if i is a root
+            path = []
             while i in parent:
-                i, f = parent[i]
-                factor = factor * f
+                path.append(i)
+                i = parent[i][0]
+            factor = None
+            for j in reversed(path):
+                factor = times(parent[j][1], factor)
+                parent[j] = (i, factor)
             return i, factor
 
         for poly in self.equations:
@@ -374,28 +421,30 @@ class _System:
             (m1, c1), (m2, c2) = sorted(poly.items())
             if len(m1) != 1 or len(m2) != 1:
                 continue
-            i, j = m1[0], m2[0]
-            ri, fi = find(i)
-            rj, fj = find(j)
+            ri, fi = find(m1[0])
+            rj, fj = find(m2[0])
             if ri == rj:
                 continue
             # c1 * fi * X_ri + c2 * fj * X_rj = 0
-            lam = -(c2 * fj) / (c1 * fi)
+            lam = -times(c2, fj) / times(c1, fi)
             if ri < rj:
-                parent[rj] = (ri, (one / lam))
+                parent[rj] = (ri, lam.inverse())
             else:
                 parent[ri] = (rj, lam)
         if not parent:
             return self.equations
         out = []
         for poly in self.equations:
+            if not any(i in parent for m in poly for i in m):
+                out.append(poly)
+                continue
             new: Poly = {}
             for mono, coeff in poly.items():
                 ids = []
                 for i in mono:
                     r, f = find(i)
                     ids.append(r)
-                    coeff = coeff * f
+                    coeff = times(coeff, f)
                 add_scaled(new, {tuple(sorted(ids)): coeff})
             if new:
                 if all(m == () for m in new):
@@ -520,7 +569,9 @@ def solve(ring, with_report: bool = False):
     Returns the fully solved, independently re-verified tables, each once, as
     branch children differ in the branched key and propagation assigns only
     unknown keys (``with_report=True`` adds the SolveReport of the first
-    path).  For h3 it only propagates: the full solve is far beyond desk scale.
+    path, counting the search's stalled leaves and budget-cut nodes).  For
+    h3 it only propagates (far beyond desk scale), so it is never complete.
+    With no table and no report it raises a RuntimeError naming the cause.
     """
     if isinstance(ring, str):
         ring = builtin_ring(ring)
@@ -545,6 +596,8 @@ def solve(ring, with_report: bool = False):
             continue
         options = report.branch_options
         if not options or nodes >= max_branch_nodes:
+            first_report.budget_cut += bool(options)
+            first_report.stalled += not options
             continue
         nodes += 1
         key, roots = options[0]
@@ -556,7 +609,10 @@ def solve(ring, with_report: bool = False):
     first_report.duration = time.monotonic() - t0
     first_report.branch_decisions = [f"explored {nodes} branch nodes"]
     if not is_h3(ring) and not tables and not with_report:
-        raise RuntimeError("no branch survived verification")
+        raise RuntimeError("no table found: " + (
+            "the branch-node budget ran out" if first_report.budget_cut else
+            "a leaf stalled" if first_report.stalled else
+            "none passed re-verification"))
     if with_report:
         return tables, first_report
     return tables

@@ -2,10 +2,12 @@
 
 import gc
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
+import pytest
 from test_pentagon import _field_valued_gauge
 
 from fusioncat import solver
@@ -519,3 +521,201 @@ def test_fold_memory_stays_small():
     assert report.remaining == 1258
     assert held < 1_000_000 and peak < 1_000_000
     assert kept < 1_600_000 and fold_peak < 1_600_000
+
+
+def _counted_folds(monkeypatch):
+    """Record the number of every equation a fold folds (its skipped ones
+    are never passed to the folder)."""
+    folded = []
+    original = solver._Fold._folder
+
+    def counting(self):
+        fold = original(self)
+
+        def counted(i):
+            folded.append(i)
+            return fold(i)
+        return counted
+
+    monkeypatch.setattr(solver._Fold, "_folder", counting)
+    return folded
+
+
+def test_identical_rule_skip_is_exact_on_both_sides_of_its_condition(
+        monkeypatch):
+    h3 = builtin_ring("h3")
+    plan = solver._plan(h3)
+    positions = {k: p for p, k in enumerate(plan.keys)}
+    folded = _counted_folds(monkeypatch)
+    # the seeds' one round re-folds 9063 equations; the 5369 the identical
+    # rule marks (all of h3's) are skipped, as the unit-label keys are 1
+    state, report = propagate(seed(h3))
+    assert report.remaining == 1258 and len(folded) == 3694
+    touched = {i for k in seed(h3).known for i in plan._by_key[positions[k]]}
+    touched |= set(compress(range(len(plan.unkeyed)), plan.unkeyed))
+    skipped = touched - set(folded)
+    identical = {i for i, bits in enumerate(plan.trivial) if bits & 2}
+    assert len(touched) == 9063 and skipped == identical and len(skipped) == 5369
+    # one lineage: the seeds, one unit-label key set to 2 (no skip, and some
+    # identical-rule equations no longer cancel), then back to 1
+    known = dict(seed(h3).known)
+    key = FKey(*(h3.unit,) * 6)
+    first = solver._Fold(plan).updated(known)
+    moved = first.updated({**known, key: h3.tower.from_rational(2)})
+    back = moved.updated(known)
+    del folded[:]
+    for fold in (first, moved, back):
+        _assert_fold_matches_reference(fold)
+    reopened = [i for i in plan._by_key[positions[key]]
+                if i in identical and moved.outcomes[i] is not None]
+    assert len(reopened) == 26
+    assert back.outcomes == first.outcomes
+    # moving back meets no new value, so the products memo is inherited
+    assert back.products is moved.products and back.dirs is first.dirs
+
+
+def _reference_rewritten(system):
+    """``_System.rewritten`` with the union-find that walks every path and
+    multiplies every factor, 1 included (reference path)."""
+    parent = {}
+    one = system.ring.tower.one()
+
+    def find(i):
+        factor = one
+        while i in parent:
+            i, f = parent[i]
+            factor = factor * f
+        return i, factor
+
+    for poly in system.equations:
+        if () in poly or len(poly) != 2:
+            continue
+        (m1, c1), (m2, c2) = sorted(poly.items())
+        if len(m1) != 1 or len(m2) != 1:
+            continue
+        (ri, fi), (rj, fj) = find(m1[0]), find(m2[0])
+        if ri == rj:
+            continue
+        lam = -(c2 * fj) / (c1 * fi)
+        if ri < rj:
+            parent[rj] = (ri, one / lam)
+        else:
+            parent[ri] = (rj, lam)
+    out = []
+    for poly in system.equations:
+        new = {}
+        for mono, coeff in poly.items():
+            ids = []
+            for i in mono:
+                r, f = find(i)
+                ids.append(r)
+                coeff = coeff * f
+            add_scaled(new, {tuple(sorted(ids)): coeff})
+        if new and not all(m == () for m in new):
+            out.append(new)
+    return out
+
+
+def test_path_compressed_aliases_match_the_reference_union_find():
+    # a 200-link alias chain X_k = lam_k X_(k+1) with mixed signs and
+    # factors, its links in descending order first (so that the union-find
+    # builds one deep path) and then shuffled, among equations that read
+    # the chain and unknowns outside it
+    z3 = builtin_ring("z3_pointed")
+    q = z3.tower.from_rational
+    rng = random.Random(29)
+    factors = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                        rng.randint(1, 4)) for _ in range(200)]
+    links = [{(k,): q(1), (k + 1,): q(-lam)} for k, lam in enumerate(factors)]
+    others = [{(0,): q(1), (200,): q(3), (): q(-1)},
+              {(5, 150): q(2), (201,): q(1)},
+              {(7,): q(1), (7, 7): q(-1), (202,): q(4)},
+              {(203,): q(1), (204, 204): q(-2), (): q(5)}]
+    for order in (links[::-1], rng.sample(links, len(links))):
+        system = _System(seed(z3))
+        system.equations = order + others
+        expected = _reference_rewritten(system)
+        rewritten = system.rewritten()
+        assert rewritten == expected and system.contradiction is None
+        # the links cancel, every chain unknown is rewritten onto X_0, and
+        # the equation with no alias passes as it is
+        assert len(rewritten) == len(others) and rewritten[-1] is others[-1]
+        assert {i for p in rewritten for m in p for i in m} == {
+            0, 201, 202, 203, 204}
+
+
+def test_rewriting_multiplies_nothing_by_exactly_one(monkeypatch):
+    # over solve("ising"): products made by the alias code itself (not by a
+    # division inside it), none with an operand of exactly 1
+    one = builtin_ring("ising").tower.one()
+    products, by_one, active = [0], [0], []
+    multiply, rewritten = FieldScalar.__mul__, solver._System.rewritten
+
+    def counted_mul(self, other):
+        if active and sys._getframe(1).f_code.co_filename == solver.__file__:
+            products[0] += 1
+            by_one[0] += self == one or other == one
+        return multiply(self, other)
+
+    def counted_rewritten(self):
+        active.append(True)
+        try:
+            return rewritten(self)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(FieldScalar, "__mul__", counted_mul)
+    monkeypatch.setattr(solver._System, "rewritten", counted_rewritten)
+    assert len(solve("ising")) == 16
+    assert products[0] > 500 and by_one[0] == 0
+
+
+def test_linear_conclusions_divide_once_and_check_the_rest(monkeypatch):
+    z3 = builtin_ring("z3_pointed")
+    q = z3.tower.from_rational
+    divisions = []
+    divide = FieldScalar.__truediv__
+    monkeypatch.setattr(FieldScalar, "__truediv__",
+                        lambda a, b: divisions.append(1) or divide(a, b))
+    # 2 X3 - 1 = 0 and 6 X3 - 3 = 0 agree: one value, one division
+    system = _System(seed(z3))
+    agree = [{(): q(-1), (3,): q(2)}, {(3,): q(6), (): q(-3)}]
+    assert system.linear_assignments(agree) == {3: q(Fraction(1, 2))}
+    assert system.contradiction is None and len(divisions) == 1
+    # 2 X3 + 1 = 0 disagrees with the first
+    disagree = agree[:1] + [{(): q(1), (3,): q(2)}]
+    assert system.linear_assignments(disagree) == {3: q(Fraction(1, 2))}
+    assert system.contradiction == "inconsistent linear conclusions"
+
+
+def test_solve_reports_whether_its_search_is_complete(monkeypatch):
+    tables, report = solve("ising", with_report=True)
+    assert len(tables) == 16 and report.complete
+    assert (report.stalled, report.budget_cut) == (0, 0)
+    monkeypatch.setattr(solver, "_MAX_BRANCH_NODES", 10)
+    tables, report = solve("ising", with_report=True)
+    assert len(tables) == 2 and not report.complete
+    assert report.stalled == 0 and report.budget_cut > 0
+    assert report.branch_decisions == ["explored 10 branch nodes"]
+    monkeypatch.setattr(solver, "_MAX_BRANCH_NODES", 1)
+    with pytest.raises(RuntimeError, match="budget"):
+        solve("ising")
+    monkeypatch.undo()
+    # h3 only propagates, so its one node is cut by its budget of 0
+    tables, report = solve("h3", with_report=True)
+    assert tables == [] and (report.stalled, report.budget_cut) == (0, 1)
+    # a leaf with unknowns left and no branch option: with no unknown
+    # allowed in an equation, the fib seeds' round keeps no equation
+    monkeypatch.setattr(solver, "_MAX_UNKNOWNS", 0)
+    tables, report = solve("fibonacci", with_report=True)
+    assert tables == [] and report.remaining > 0 and not report.complete
+    assert (report.stalled, report.budget_cut) == (1, 0)
+    with pytest.raises(RuntimeError, match="stalled"):
+        solve("fibonacci")
+    monkeypatch.undo()
+    # a complete search whose every total table fails re-verification
+    monkeypatch.setattr(solver, "_verified", lambda table: False)
+    tables, report = solve("fibonacci", with_report=True)
+    assert tables == [] and report.complete
+    with pytest.raises(RuntimeError, match="none passed re-verification"):
+        solve("fibonacci")
