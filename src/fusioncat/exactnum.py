@@ -285,10 +285,11 @@ class FieldScalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.from_rational(other)
+        # a FieldScalar first, as in __mul__
         if not isinstance(other, FieldScalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.tower.from_rational(other)
         return (self.tower is other.tower and self._num == other._num
                 and self._den == other._den)
 

@@ -19,9 +19,11 @@ branch.  Every completed table is re-verified with the independent pentagon
 and orthogonality checkers before it is returned.
 
 The pentagon and orthogonality equations and the square-pop relations of
-a ring are compiled once per ring object, on first use, into a plan
-(:class:`_Plan`) of key positions; a key's position in ``enumerate_fkeys``
-order is also its id as an unknown.  A round reads only the plan and the
+a ring are compiled once per ring object, on first use, into one plan
+(:class:`_Plan`) in the pentagon check's shape, a left pair and triples of
+positions: a key's position in ``enumerate_fkeys`` order is also its id as
+an unknown, a constant sits at a position past the keys, and a relation is
+stated as a multiple of itself.  A round reads only the plan and the
 current knowns.  A fold (:class:`_Fold`) keeps the outcome of every
 equation over one assignment in plan order: dropped, an equation over the
 unknowns, or a contradiction.  Each propagation round moves the fold to the
@@ -44,8 +46,9 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import combinations_with_replacement, compress
 from math import lcm
+from operator import sub
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant)
@@ -137,57 +140,63 @@ _MAX_BRANCH_NODES = 4096
 
 
 class _Plan:
-    """The pentagon and orthogonality equations of one ring, as key positions.
+    """Every equation of one ring in the pentagon check's shape, as positions.
 
-    A key's position is its index in ``enumerate_fkeys`` order; an unknown
-    key's id is its position.  Equation ``i`` reads the slots
-    ``slots[offsets[i]:offsets[i + 1]]``.  The pentagon equations come first,
-    in instance order, each with its two left-hand keys and then three keys
-    per summand, as in the pentagon sweep's own plan; then, block by block,
-    the row equations of F Ft = I (sum_f F[e_i, f] F[e_j, f] - delta_ij for
-    i <= j), each with its pairs of keys and, when it is listed in
-    ``diagonal``, a constant -1.  Rows suffice: F Ft = I gives det F *
-    det Ft = 1, so Ft is F's inverse and Ft F = I follows.  The square-pop
-    relations (:func:`_square_pop_relations`) follow as ``registered``, each
-    its left-hand side and then its right-hand terms subtracted, as
-    (factor, positions, negated) terms.
+    Equation ``i`` reads ``slots[starts[i]:starts[i + 1]]``, a left pair and
+    then triples, and states the pair's product minus each triple's.  A
+    position below ``len(keys)`` is a key's index in ``enumerate_fkeys``
+    order, which is also its id as an unknown; position ``len(keys) + j``
+    holds ``constants[j]`` (1, -1, then the relations' constants).  The
+    pentagon equations come first, a copy of the pentagon sweep's own plan.
+    Then, block by block, the row equations of F Ft = I (sum_f F[e_i, f]
+    F[e_j, f] - delta_ij for i <= j): the pair (F[e_i, f_0], F[e_j, f_0]),
+    the triple (-1, F[e_i, f], F[e_j, f]) for each further column f and, for
+    i = j, the triple (1, 1, 1).  Rows suffice: F Ft = I gives det F * det Ft
+    = 1, so Ft is F's inverse and Ft F = I follows.  Last, each square-pop
+    relation (:func:`_square_pop_relations`) as a multiple of itself,
+    c1 K3 + c2 K4 - sqrt(d) K1 K2: the pair (c1, K3), then the triples
+    (-c2, K4, 1) and (sqrt(d), K1, K2).  No conclusion of a round depends on
+    an equation's scale.
     """
 
     def __init__(self, ring: FusionRing):
         self.keys = tuple(enumerate_fkeys(ring))
         pos = {k: i for i, k in enumerate(self.keys)}
+        one = ring.tower.one()
+        constants = {one: 0, -one: 1}
+
+        def constant(v: FieldScalar) -> int:
+            return len(pos) + constants.setdefault(v, len(constants))
+
         pentagon = _pentagon_plan(ring)
         slots = array("H", pentagon.slots)
-        offsets = array("I", pentagon.starts)
-        self.n_pentagon = len(offsets) - 1
-        diagonal = []
+        starts = array("I", pentagon.starts)
+        self.n_pentagon = len(starts) - 1
         for blk in f_blocks(ring):
-            a, b, c, u = blk.a, blk.b, blk.c, blk.u
-            es, fs = blk.e_labels, blk.f_labels
-            for i in range(blk.dim):
-                for j in range(i, blk.dim):
-                    if i == j:
-                        diagonal.append(len(offsets) - 1)
-                    for f in fs:
-                        slots.extend((pos[a, b, c, u, es[i], f],
-                                      pos[a, b, c, u, es[j], f]))
-                    offsets.append(len(slots))
-        self.slots = slots
-        self.offsets = offsets
-        self.diagonal = frozenset(diagonal)
-        self.n_equations = len(offsets) - 1
-        self.registered = [
-            [(factor, tuple(pos[k] for k in ks), negated)
-             for negated, terms in ((False, [lhs]), (True, rhs))
-             for factor, *ks in terms]
-            for lhs, rhs in _square_pop_relations(ring).values()]
-        # flags the equations a fold over no knowns may keep (on a built-in
-        # ring, no pentagon one)
+            rows = [[pos[blk.a, blk.b, blk.c, blk.u, e, f] for f in blk.f_labels]
+                    for e in blk.e_labels]
+            for i, j in combinations_with_replacement(range(blk.dim), 2):
+                (p, *ps), (q, *qs) = rows[i], rows[j]
+                slots.extend((p, q))
+                for p, q in zip(ps, qs):
+                    slots.extend((constant(-one), p, q))
+                if i == j:
+                    slots.extend((constant(one),) * 3)
+                starts.append(len(slots))
+        for (sqrt_d, k1, k2), ((c1, k3), (c2, k4)) in (
+                _square_pop_relations(ring).values()):
+            slots.extend((constant(c1), pos[k3], constant(-c2), pos[k4],
+                          constant(one), constant(sqrt_d), pos[k1], pos[k2]))
+            starts.append(len(slots))
+        self.slots, self.starts = slots, starts
+        self.constants = list(constants)
+        self.n_equations = len(starts) - 1
+        # flags the pentagon equations a fold over no knowns may keep (on a
+        # built-in ring, none): every other equation reads a constant
         self.unkeyed = bytearray(
-            i >= self.n_pentagon or offsets[i + 1] - offsets[i] <= _MAX_UNKNOWNS
-            for i in range(self.n_equations + len(self.registered)))
-        # the most terms of an equation: summands, columns or two, plus one
-        self.most_terms = 1 + max(2, *map(len, ring._fusion.values()))
+            i < self.n_pentagon and starts[i + 1] - starts[i] <= _MAX_UNKNOWNS
+            for i in range(self.n_equations))
+        self.most_terms = 1 + max(map(sub, starts[1:], starts)) // 3
         self.tower = ring.tower
         # the unit-label keys, and the pentagon equations' triviality bits
         # (see classify): with those keys 1, both sides of an equation the
@@ -198,39 +207,37 @@ class _Plan:
 
     @cached_property
     def _by_key(self) -> list[array]:
-        """For each key position, the equations and then the registered
-        relations (numbered after the equations) that read it, in 16 bits
-        when they fit (h3: 0.8 MB, 1.5 MB in 32 bits)."""
-        n = self.n_equations + len(self.registered)
-        by_key = _readers(self.slots, self.offsets, len(self.keys),
-                          "H" if n <= 1 << 16 else "I")
-        for i, terms in enumerate(self.registered, start=self.n_equations):
-            for p in {p for _, positions, _ in terms for p in positions}:
-                by_key[p].append(i)
-        return by_key
+        """For each key and constant position, the equations that read it,
+        in 16 bits when they fit (h3: 0.8 MB, 1.5 MB in 32 bits)."""
+        return _readers(self.slots, self.starts,
+                        len(self.keys) + len(self.constants),
+                        "H" if self.n_equations <= 1 << 16 else "I")
 
 
 _plan = _per_ring(_Plan)
 
 
 class _Fold:
-    """The outcome of every equation of a plan, its registered relations
-    last, over one assignment, kept in plan order.
+    """The outcome of every equation of a plan over one assignment, kept in
+    plan order.
 
     An outcome is None (no equation: it cancels, has more than
     ``_MAX_UNKNOWNS`` distinct unknowns, or is a pentagon equation with more
     than that many unknown key slots), an equation (Poly) or a contradiction
-    message.  :meth:`updated` re-folds only the equations that read a key
-    whose value changed, so the outcomes always equal those of a fold from
-    scratch; a first fold is an update from the empty assignment, over
-    which only the ``plan.unkeyed`` equations are not None.  While every
-    unit-label key is 1, no identical-rule equation is folded: it would
-    cancel.  Each unknown monomial sums, as one packed integer, the products
-    of its terms' known factors scaled to ``L**3 * B``, in a width proven
-    from the compiled values.  A moved fold inherits its compile state: the
-    interned ``dirs`` and the values ``met`` only grow along the lineage,
-    and a new value recompiles ``splits`` (each value as ``(n, pid)``), ``L``
-    and the width, the product memos kept while ``L`` and the width stay.
+    message.  :meth:`updated` re-folds only the equations that read a
+    position whose value changed, so the outcomes always equal those of a
+    fold from scratch.  A first fold is an update from the empty assignment
+    with no constants either: it folds every equation that reads a known key
+    or a constant, and of the others only the ``plan.unkeyed`` ones.  While
+    every unit-label key is 1, no identical-rule equation is folded: it
+    would cancel.  Each unknown monomial sums, as one packed integer, the
+    products of its terms' known factors scaled to ``L**3 * B``, in a width
+    proven from the compiled values; as 1 is among them, a term of fewer
+    than three known factors is bounded as one padded with ones.  A moved
+    fold inherits its compile state: the interned ``dirs`` and the values
+    ``met`` only grow along the lineage, and a new value recompiles
+    ``splits`` (each value as ``(n, pid)``), ``L`` and the width, the
+    product memos kept while ``L`` and the width stay.
     """
 
     __slots__ = ("plan", "values", "outcomes", "known", "dirs", "met",
@@ -239,13 +246,10 @@ class _Fold:
     def __init__(self, plan: _Plan):
         self.plan, self.outcomes = plan, None
         # each position's value and its (n, pid), None while unknown
-        self.values = self.known = [None] * len(plan.keys)
+        self.values = self.known = [None] * (len(plan.keys)
+                                             + len(plan.constants))
         self.dirs, self.den_l, self.width = _Directions(plan.tower), 0, 0
-        # with 1 compiled, a term of fewer than three known factors is
-        # bounded as one padded with ones
-        self.met = {v.integer_coords(): v for v in chain(
-            [plan.tower.one()], (f for ts in plan.registered for f, _, _ in ts))}
-        self._compile()
+        self.met, self.splits = {}, {}
 
     def _compile(self) -> None:
         dirs = self.dirs
@@ -265,8 +269,8 @@ class _Fold:
     def updated(self, known: dict[FKey, FieldScalar]) -> "_Fold":
         """This fold moved to ``known``; self is left as it is."""
         plan = self.plan
-        values = [known.get(k) for k in plan.keys]
-        n = plan.n_equations + len(plan.registered)
+        values = [known.get(k) for k in plan.keys] + plan.constants
+        n = plan.n_equations
         changed = [p for p, (v, w) in enumerate(zip(values, self.values))
                    if v is not w]
         # flags of the equations to re-fold: a set would take 0.5 MB on h3
@@ -300,43 +304,32 @@ class _Fold:
 
     def _folder(self):
         """The fold of one equation over ``self.values``, by number."""
-        plan, known, splits = self.plan, self.known, self.splits
+        plan, known = self.plan, self.known
+        slots, starts = plan.slots, plan.starts
         products, coefficients = self.products, self.coefficients
 
         def fold(i: int):
+            sl = slots[starts[i]:starts[i + 1]]
             n_unknown = None
-            if i < plan.n_equations:
-                sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
-                if i < plan.n_pentagon:
-                    n_unknown = [known[p] is None for p in sl].count(True)
-                    if n_unknown > _MAX_UNKNOWNS:
-                        return None
-                    terms = [(None, sl[:2], False)] + [
-                        (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
-                else:
-                    terms = [(None, sl[k:k + 2], False)
-                             for k in range(0, len(sl), 2)]
-                    if i in plan.diagonal:
-                        terms.append((None, (), True))
-            else:
-                terms = plan.registered[i - plan.n_equations]
+            if i < plan.n_pentagon:
+                n_unknown = [known[p] is None for p in sl].count(True)
+                if n_unknown > _MAX_UNKNOWNS:
+                    return None
             sums: dict[tuple[int, ...], int] = {}
-            for factor, positions, negated in terms:
+            # the left pair sl[0:2], then each triple, subtracted
+            for k in range(-1, len(sl), 3):
                 c, pids, mono = 1, [], []
-                if factor is not None:
-                    c, pid = splits[factor.integer_coords()]
-                    pids.append(pid)
-                for p in positions:
-                    k = known[p]
-                    if k is None:
+                for p in sl[max(k, 0):k + 3]:
+                    v = known[p]
+                    if v is None:
                         mono.append(p)
                     else:
-                        c *= k[0]
-                        pids.append(k[1])
+                        c *= v[0]
+                        pids.append(v[1])
                 if c:
                     mono = tuple(sorted(mono))
                     c *= products[tuple(sorted(pids))]
-                    sums[mono] = sums.get(mono, 0) + (-c if negated else c)
+                    sums[mono] = sums.get(mono, 0) + (c if k < 0 else -c)
             poly: Poly = {m: coefficients[s] for m, s in sums.items() if s}
             if not poly:
                 return None
@@ -372,12 +365,12 @@ class _System:
 
     # -- conclusions ---------------------------------------------------------
 
-    def linear_assignments(self, equations=None) -> dict[int, FieldScalar]:
+    def linear_assignments(self, equations) -> dict[int, FieldScalar]:
         """Each unknown's value from the first equation that fixes it
         linearly; a later one it does not solve sets the contradiction."""
         out: dict[int, FieldScalar] = {}
         zero = self.ring.tower.zero()
-        for poly in (self.equations if equations is None else equations):
+        for poly in equations:
             monos = [m for m in poly if m]
             if len(monos) != 1 or len(monos[0]) != 1:
                 continue
@@ -455,11 +448,11 @@ class _System:
                 out.append(new)
         return out
 
-    def univariate_roots(self, equations=None) -> list[tuple[int, list[FieldScalar]]]:
+    def univariate_roots(self, equations) -> list[tuple[int, list[FieldScalar]]]:
         """Solutions of equations involving a single unknown, degree <= 2,
         from the first such equation of each unknown, by unknown id."""
         out: dict[int, list[FieldScalar]] = {}
-        for poly in (self.equations if equations is None else equations):
+        for poly in equations:
             ids = {i for m in poly for i in m}
             if len(ids) != 1:
                 continue
@@ -484,9 +477,9 @@ class _System:
                 x * (den // v.integer_coords()[1]) for x in v.integer_coords()[0]])
         return sorted(out.items())
 
-    def eliminated(self, equations=None) -> list[Poly]:
+    def eliminated(self, equations) -> list[Poly]:
         """Row-reduce over unknown monomials; returns the reduced rows."""
-        rows = [dict(p) for p in (self.equations if equations is None else equations)]
+        rows = [dict(p) for p in equations]
         gauss_jordan(rows, sorted({m for p in rows for m in p if m},
                                   key=lambda m: (-len(m), m)))
         return [r for r in rows if r]
@@ -514,7 +507,7 @@ def propagate(partial: PartialTable) -> tuple[PartialTable, SolveReport]:
         if system.contradiction:
             report.contradiction = system.contradiction
             break
-        assignments = system.linear_assignments()
+        assignments = system.linear_assignments(system.equations)
         rewritten = None
         if not assignments:
             rewritten = system.rewritten()
@@ -525,7 +518,7 @@ def propagate(partial: PartialTable) -> tuple[PartialTable, SolveReport]:
             break
         branch_options: list[tuple[FKey, list[FieldScalar]]] = []
         if not assignments:
-            candidates = system.univariate_roots()
+            candidates = system.univariate_roots(system.equations)
             if not candidates and rewritten is not system.equations:
                 candidates = system.univariate_roots(rewritten)
             if not candidates:

@@ -370,6 +370,11 @@ def test_equal_scalars_hash_alike(h3):
     assert len({b, ParamScalar.from_field(b)}) == 1
     p1 = ParamScalar.param(h3, 1)
     assert len({p1, 1, p1 * p1, ParamScalar.from_field(h3.zero()), 0}) == 3
+    # a non-scalar and a scalar of another tower are never equal, though a
+    # rational value of any tower hashes as its Fraction
+    ising_one = tower_preset("ising").one()
+    assert h3.one() != "1" and h3.one() != ising_one
+    assert len({h3.one(), "1", ising_one}) == 3
 
 
 def test_substitution_is_a_homomorphism(h3):

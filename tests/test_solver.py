@@ -5,7 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 
 import pytest
 from test_pentagon import _field_valued_gauge
@@ -295,37 +295,57 @@ def test_solver_search_is_pinned():
 
 def test_plan_states_each_block_row_equation_once():
     # F Ft = I as sum_f F[e_i, f] F[e_j, f] - delta_ij for i <= j: d(d+1)/2
-    # equations per block of dimension d, each pairing keys of one column f
+    # equations per block of dimension d, each a left pair and triples
+    # (-1, F[e_i, f], F[e_j, f]) that pair keys of one column f; a diagonal
+    # one ends in the triple (1, 1, 1)
     for name, count in (("z3_pointed", 27), ("fibonacci", 14), ("ising", 35),
                         ("h3", 1107)):
         ring = builtin_ring(name)
         plan = solver._plan(ring)
-        assert plan.n_equations - plan.n_pentagon == count == sum(
+        one, minus = len(plan.keys), len(plan.keys) + 1
+        assert plan.constants[:2] == [ring.tower.one(), -ring.tower.one()]
+        rows = range(plan.n_pentagon,
+                     plan.n_equations - len(_square_pop_relations(ring)))
+        assert len(rows) == count == sum(
             b.dim * (b.dim + 1) // 2 for b in f_blocks(ring))
-        assert len(plan.diagonal) == sum(b.dim for b in f_blocks(ring))
-        for i in range(plan.n_pentagon, plan.n_equations):
-            sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
-            assert all(plan.keys[p].f == plan.keys[q].f
-                       for p, q in zip(sl[::2], sl[1::2]))
+        diagonal = 0
+        for i in rows:
+            sl = list(plan.slots[plan.starts[i]:plan.starts[i + 1]])
+            if sl[-3:] == [one] * 3:
+                diagonal += 1
+                del sl[-3:]
+            assert set(sl[2::3]) <= {minus}
+            pairs = [sl[:2]] + [sl[k:k + 2] for k in range(3, len(sl), 3)]
+            assert all(plan.keys[p].f == plan.keys[q].f for p, q in pairs)
+        assert diagonal == sum(b.dim for b in f_blocks(ring))
+
+
+def _solved_and_data_set_tables():
+    """Every table solve finds for fibonacci and ising, and the h3 data set
+    at (+1, +1) and at (-1, -1), as (ring, values)."""
+    for name in ("fibonacci", "ising"):
+        for table in solve(name):
+            yield table.ring, {k: v.as_field() for k, v in table.entries.items()}
+    data = build_h3_table()
+    for p in (1, -1):
+        yield data.ring, {k: v.substitute(p, p) for k, v in data.entries.items()}
 
 
 def test_solved_tables_are_column_orthogonal_and_fold_away():
     # the plan states no column equations, yet every solved table has
-    # Ft F = I, and no equation of the plan is left over it
-    for name in ("fibonacci", "ising"):
-        ring = builtin_ring(name)
+    # Ft F = I, and no equation of the plan is left over it: over the h3
+    # data set, no block row, relation or pentagon equation either
+    for ring, values in _solved_and_data_set_tables():
         zero, one = ring.tower.zero(), ring.tower.one()
-        for table in solve(name):
-            values = {k: v.as_field() for k, v in table.entries.items()}
-            for b in f_blocks(ring):
-                m = [[values[FKey(b.a, b.b, b.c, b.u, e, f)] for f in b.f_labels]
-                     for e in b.e_labels]
-                for i in range(b.dim):
-                    for j in range(b.dim):
-                        dot = sum((row[i] * row[j] for row in m), start=zero)
-                        assert dot == (one if i == j else zero)
-            system = _System(PartialTable(ring, values))
-            assert system.equations == [] and system.contradiction is None
+        for b in f_blocks(ring):
+            m = [[values[FKey(b.a, b.b, b.c, b.u, e, f)] for f in b.f_labels]
+                 for e in b.e_labels]
+            for i in range(b.dim):
+                for j in range(b.dim):
+                    dot = sum((row[i] * row[j] for row in m), start=zero)
+                    assert dot == (one if i == j else zero)
+        system = _System(PartialTable(ring, values))
+        assert system.equations == [] and system.contradiction is None
 
 
 def test_solve_returns_pairwise_distinct_tables():
@@ -380,7 +400,7 @@ def test_square_pop_relations_in_the_plan_hold_and_catch_a_sign():
     values = {k: entries[k].substitute(1, 1) for keys in relations for k in keys}
     assert len(values) == 8
     system = _System(PartialTable(h3, values))
-    n = system.fold.plan.n_equations
+    n = system.fold.plan.n_equations - 2  # the relations come last
     assert system.fold.outcomes[n:] == [None, None]
     for own, keys in enumerate(relations):
         for k in keys:
@@ -392,41 +412,27 @@ def test_square_pop_relations_in_the_plan_hold_and_catch_a_sign():
 
 
 def _reference_fold(plan, values, i):
-    """Equation ``i`` of a plan folded over ``values`` with FieldScalar
-    products, one term at a time (reference path for the packed fold)."""
+    """Equation ``i`` of a plan folded over the key values ``values`` with
+    FieldScalar products, one term at a time, its left pair added and each
+    triple subtracted (reference path for the packed fold)."""
+    keys = len(plan.keys)
+    sl = plan.slots[plan.starts[i]:plan.starts[i + 1]]
     n_unknown = None
-    diagonal = False
-    if i < plan.n_equations:
-        sl = plan.slots[plan.offsets[i]:plan.offsets[i + 1]]
-        if i < plan.n_pentagon:
-            n_unknown = [values[p] is None for p in sl].count(True)
-            if n_unknown > solver._MAX_UNKNOWNS:
-                return None
-            terms = [(None, sl[:2], False)] + [
-                (None, sl[k:k + 3], True) for k in range(2, len(sl), 3)]
-        else:
-            terms = [(None, sl[k:k + 2], False) for k in range(0, len(sl), 2)]
-            diagonal = i in plan.diagonal
-    else:
-        terms = plan.registered[i - plan.n_equations]
-    one = plan.tower.one()
+    if i < plan.n_pentagon:
+        n_unknown = [values[p] is None for p in sl].count(True)
+        if n_unknown > solver._MAX_UNKNOWNS:
+            return None
     poly = {}
-    for factor, positions, negated in terms:
-        coeff = factor
-        mono = []
-        for p in positions:
-            v = values[p]
+    for k in range(-1, len(sl), 3):
+        coeff, mono = plan.tower.one(), []
+        for p in sl[max(k, 0):k + 3]:
+            v = values[p] if p < keys else plan.constants[p - keys]
             if v is None:
                 mono.append(p)
             else:
-                coeff = v if coeff is None else coeff * v
-        if coeff is None:
-            coeff = one
-        if coeff.is_zero():
-            continue
-        add_scaled(poly, {tuple(sorted(mono)): -coeff if negated else coeff})
-    if diagonal:
-        add_scaled(poly, {(): -one})
+                coeff = coeff * v
+        if not coeff.is_zero():
+            add_scaled(poly, {tuple(sorted(mono)): coeff if k < 0 else -coeff})
     if not poly:
         return None
     unknowns = {p for m in poly for p in m}
@@ -440,9 +446,8 @@ def _reference_fold(plan, values, i):
 
 def _assert_fold_matches_reference(fold):
     plan = fold.plan
-    n = plan.n_equations + len(plan.registered)
     assert fold.outcomes == [_reference_fold(plan, fold.values, i)
-                             for i in range(n)]
+                             for i in range(plan.n_equations)]
     return fold.outcomes
 
 
@@ -483,16 +488,18 @@ def test_packed_fold_matches_the_reference_fold(monkeypatch):
 
 
 def test_a_fold_from_no_knowns_folds_only_what_a_known_key_reaches():
-    # every pentagon equation reads more than _MAX_UNKNOWNS slots, so over
-    # no knowns only the block rows and the relations are left to fold
+    # every pentagon equation reads more than _MAX_UNKNOWNS slots, so none
+    # is flagged unkeyed; over no knowns only the block rows and the
+    # relations are left to fold, each reached through a constant it reads
     for name in ("z3_pointed", "fibonacci", "ising", "h3"):
         ring = builtin_ring(name)
         plan = solver._plan(ring)
-        n = plan.n_equations + len(plan.registered)
-        assert all(plan.offsets[i + 1] - plan.offsets[i] > solver._MAX_UNKNOWNS
+        assert all(plan.starts[i + 1] - plan.starts[i] > solver._MAX_UNKNOWNS
                    for i in range(plan.n_pentagon))
-        assert plan.unkeyed == bytes(plan.n_pentagon) + b"\1" * (
-            n - plan.n_pentagon)
+        assert plan.unkeyed == bytes(plan.n_equations)
+        assert all(max(plan.slots[plan.starts[i]:plan.starts[i + 1]])
+                   >= len(plan.keys)
+                   for i in range(plan.n_pentagon, plan.n_equations))
         _assert_fold_matches_reference(_System(PartialTable(ring, {})).fold)
     # the h3 seeds reach 7954 of the 41391 pentagon equations
     positions = {k: p for p, k in enumerate(plan.keys)}
@@ -547,12 +554,14 @@ def test_identical_rule_skip_is_exact_on_both_sides_of_its_condition(
     plan = solver._plan(h3)
     positions = {k: p for p, k in enumerate(plan.keys)}
     folded = _counted_folds(monkeypatch)
-    # the seeds' one round re-folds 9063 equations; the 5369 the identical
-    # rule marks (all of h3's) are skipped, as the unit-label keys are 1
+    # the seeds' one round re-folds 9063 equations, those that read a seed
+    # or a constant; the 5369 the identical rule marks (all of h3's) are
+    # skipped, as the unit-label keys are 1
     state, report = propagate(seed(h3))
     assert report.remaining == 1258 and len(folded) == 3694
-    touched = {i for k in seed(h3).known for i in plan._by_key[positions[k]]}
-    touched |= set(compress(range(len(plan.unkeyed)), plan.unkeyed))
+    reached = [positions[k] for k in seed(h3).known]
+    reached += range(len(plan.keys), len(plan._by_key))
+    touched = {i for p in reached for i in plan._by_key[p]}
     skipped = touched - set(folded)
     identical = {i for i, bits in enumerate(plan.trivial) if bits & 2}
     assert len(touched) == 9063 and skipped == identical and len(skipped) == 5369
