@@ -92,34 +92,40 @@ def enumerate_instances(ring: FusionRing) -> Iterator[PentagonInstance]:
     return map(PentagonInstance._make, _raw_instances(ring))
 
 
+def _label_sets(ring: FusionRing):
+    """Bit sets over the labels, bit t for label t: ``prod[i][j]`` holds
+    i ⊗ j, ``left[i][j]`` the t with N[t][i][j] and ``right[i][j]`` those
+    with N[i][t][j]; and ``labels``, a bit set's labels as one shared
+    ascending tuple per distinct set."""
+    N, rng = ring._n, range(len(ring))
+    sets = ([[sum(has(i, j, t) << t for t in rng) for j in rng] for i in rng]
+            for has in (lambda i, j, t: N[i][j][t], lambda i, j, t: N[t][i][j],
+                        lambda i, j, t: N[i][t][j]))
+    return (*sets, _Memo(lambda m: tuple(t for t in rng if m >> t & 1)))
+
+
 def _raw_instances(ring: FusionRing):
-    n = len(ring)
-    N = ring._n
-    fus = ring._fusion
-    rng = range(n)
-    # one shared tuple per distinct e_sum: h3 has 10 among 41391 instances
-    esums: dict[tuple, tuple] = {}
+    rng = range(len(ring))
+    prod, left, right, labels = _label_sets(ring)
     for x, y in product(rng, repeat=2):
-        a_cands = fus[(x, y)]
+        a_cands, by_x = labels[prod[x][y]], right[x]
+        # ds[u][c]: the d in y ⊗ c with N[x][d][u]; c_ok[u]: the c with any
+        ds = [[labels[prod[y][c] & by_x[u]] for c in rng] for u in rng]
+        c_ok = [sum(bool(dc) << c for c, dc in enumerate(row)) for row in ds]
         for z in rng:
-            yz = fus[(y, z)]
+            yz = prod[y][z]
             for w in rng:
-                zw = fus[(z, w)]
+                zw, by_w = prod[z][w], left[w]
                 for u in rng:
+                    zw_u, ds_u = zw & c_ok[u], ds[u]
                     for a in a_cands:
-                        cs = [c for c in zw if N[a][c][u]]
-                        if not cs:
-                            continue
-                        bs = [b for b in fus[(a, z)] if N[b][w][u]]
-                        for b in bs:
+                        cs = labels[zw_u & right[a][u]]
+                        for b in labels[prod[a][z] & by_w[u]]:
+                            yz_b = yz & by_x[b]
                             for c in cs:
-                                for d in fus[(y, c)]:
-                                    if not N[x][d][u]:
-                                        continue
-                                    esum = tuple(t for t in yz
-                                                 if N[t][w][d] and N[x][t][b])
+                                for d in ds_u[c]:
                                     yield (x, y, z, w, u, a, b, c, d,
-                                           esums.setdefault(esum, esum))
+                                           labels[yz_b & by_w[d]])
 
 
 def _is_identical(unit: int, tup) -> bool:
@@ -128,18 +134,18 @@ def _is_identical(unit: int, tup) -> bool:
     if len(esum) != 1:
         return False
     t = esum[0]
-    # the right side, one key longer, must drop one more unit-carrying key
-    if ((unit in (x, y, c)) + (unit in (a, z, w)) + 1
-            != (unit in (y, z, w)) + (unit in (x, t, w)) + (unit in (x, y, z))):
-        return False
-    keys = _instance_keys(tup)
-    return (sorted(k for k in keys[:2] if unit not in k[:3])
-            == sorted(k for k in keys[2:] if unit not in k[:3]))
+    lhs = ((x, y, c, u, d, a), (a, z, w, u, c, b))
+    rhs = ((y, z, w, d, c, t), (x, t, w, u, d, b), (x, y, z, b, t, a))
+    return (sorted(k for k in lhs if unit not in k[:3])
+            == sorted(k for k in rhs if unit not in k[:3]))
 
 
 def _trivial_bits(unit: int, tup) -> int:
-    """Bit 1 if the unit rule marks a raw instance tuple, 2 if identical."""
-    return (unit in tup[:4]) | _is_identical(unit, tup) << 1
+    """Bit 1 if the unit rule marks a raw instance tuple, 2 if identical;
+    the identical rule needs the right side, one key longer, to drop a key
+    carrying the unit, so the unit must be among x, y, z, w or the single t."""
+    bit = unit in tup[:4]
+    return bit | ((bit or tup[9] == (unit,)) and _is_identical(unit, tup)) << 1
 
 
 def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bool:
@@ -212,10 +218,16 @@ def _pentagon_plan(ring: FusionRing) -> _Plan:
     :func:`_instance_keys` lists them) by position in ``enumerate_fkeys``."""
     pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
     plan = _Plan(array("H"), array("B"), array("I", [0]), bytearray())
-    unit = ring.unit
+    put, unit = plan.slots.append, ring.unit
     for tup in _raw_instances(ring):
-        plan.slots.extend(map(pos.__getitem__, _instance_keys(tup)))
-        plan.counts.append(len(tup[9]))
+        x, y, z, w, u, a, b, c, d, esum = tup
+        put(pos[x, y, c, u, d, a])
+        put(pos[a, z, w, u, c, b])
+        for t in esum:
+            put(pos[y, z, w, d, c, t])
+            put(pos[x, t, w, u, d, b])
+            put(pos[x, y, z, b, t, a])
+        plan.counts.append(len(esum))
         plan.starts.append(len(plan.slots))
         plan.trivial.append(_trivial_bits(unit, tup))
     return plan
@@ -234,26 +246,26 @@ def _additional_plan(ring: FusionRing) -> _Plan:
     every group at once (25 MB traced peak on h3, against 1 MB here)."""
     pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
     star = len(pos)
-    N, fus = ring._n, ring._fusion
+    rng = range(len(ring))
+    prod, left, right, labels = _label_sets(ring)
     plan = _Plan(array("H"), array("B"), array("I", [0]), bytearray())
     put = plan.slots.append
-    for a, x1 in product(range(len(ring)), repeat=2):
-        for x3, x2 in product(fus[(a, x1)], range(len(ring))):
-            for b, c in product(fus[(x1, x2)], range(len(ring))):
-                for x4 in fus[(x2, c)]:
-                    for u, y in product(fus[(x3, x4)], fus[(a, b)]):
-                        if not (N[x3][x2][y] and N[y][c][u]):
-                            continue
-                        ss = [s for s in fus[(x1, x4)]
-                              if N[a][s][u] and N[b][c][s]]
-                        put(star + pos[x3, x2, c, u, x4, y])
-                        put(pos[a, x1, x2, y, b, x3])
-                        for s in ss:
-                            put(pos[a, x1, x4, u, s, x3])
-                            put(star + pos[x1, x2, c, s, x4, b])
-                            put(star + pos[a, b, c, u, s, y])
-                        plan.counts.append(len(ss))
-                        plan.starts.append(len(plan.slots))
+    for a, x1 in product(rng, repeat=2):
+        for x3, x2 in product(labels[prod[a][x1]], rng):
+            for b, c in product(labels[prod[x1][x2]], rng):
+                ys, bc = prod[a][b] & prod[x3][x2], prod[b][c]
+                for x4 in labels[prod[x2][c]]:
+                    for u in labels[prod[x3][x4]]:
+                        ss = labels[prod[x1][x4] & bc & right[a][u]]
+                        for y in labels[ys & left[c][u]]:
+                            put(star + pos[x3, x2, c, u, x4, y])
+                            put(pos[a, x1, x2, y, b, x3])
+                            for s in ss:
+                                put(pos[a, x1, x4, u, s, x3])
+                                put(star + pos[x1, x2, c, s, x4, b])
+                                put(star + pos[a, b, c, u, s, y])
+                            plan.counts.append(len(ss))
+                            plan.starts.append(len(plan.slots))
     return plan
 
 
@@ -601,8 +613,8 @@ def count_instances(ring: FusionRing) -> dict[str, int]:
     It walks the instance stream rather than the pentagon plan's bits: it is
     the benchmark's only traced walk of the stream (``bench/run.py --trace 1``
     reads ``pentagon.enumerate_instances_s`` from it), and building the plan
-    slows a one-shot ``fusioncat count --builtin h3`` (median wall 0.27 s
-    against 0.36 s, seven runs each on a 2-vCPU VM)."""
+    slows a one-shot ``fusioncat count --builtin h3`` (median wall 0.13 s
+    against 0.23 s, seven interleaved runs each on a 2-core box)."""
     unit = ring.unit
     bits = [_trivial_bits(unit, tup) for tup in _raw_instances(ring)]
     return {"total": len(bits), **{rule: sum(1 for b in bits if b & mask)

@@ -31,7 +31,7 @@ from fusioncat.pentagon import (PentagonInstance, VerifyReport,
 from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan,
                                 _Directions, _Kernel, _instance_keys,
                                 _is_identical, _pentagon_plan, _raw_instances,
-                                _sweep, _unpack)
+                                _sweep, _trivial_bits, _unpack)
 from fusioncat.solver import solve
 
 RING_NAMES = ("z3_pointed", "fibonacci", "ising", "h3")
@@ -1316,3 +1316,122 @@ def test_raw_instances_share_each_distinct_e_sum(h3):
     esums = [tup[9] for tup in _raw_instances(h3)]
     assert len(esums) == 41391
     assert len({id(e) for e in esums}) == len(set(esums)) == 10
+
+
+def _reference_raw_instances(ring):
+    """The instance stream by its label loops, the labels t of each
+    instance filtered one by one."""
+    N, fus, rng = ring._n, ring._fusion, range(len(ring))
+    for x, y, z, w, u in product(rng, repeat=5):
+        for a in fus[(x, y)]:
+            cs = [c for c in fus[(z, w)] if N[a][c][u]]
+            bs = [b for b in fus[(a, z)] if N[b][w][u]]
+            for b, c in product(bs, cs):
+                for d in fus[(y, c)]:
+                    if N[x][d][u]:
+                        yield (x, y, z, w, u, a, b, c, d,
+                               tuple(t for t in fus[(y, z)]
+                                     if N[t][w][d] and N[x][t][b]))
+
+
+def _brute_force_instances(ring):
+    """Every label tuple whose two left-hand keys are admissible, in
+    lexicographic order, with the t that make all three right-hand keys
+    admissible."""
+    ok, rng = ring.admissible, range(len(ring))
+    for x, y, z, w, u, a, b, c, d in product(rng, repeat=9):
+        if ok(FKey(x, y, c, u, d, a)) and ok(FKey(a, z, w, u, c, b)):
+            yield (x, y, z, w, u, a, b, c, d,
+                   tuple(t for t in rng if ok(FKey(y, z, w, d, c, t))
+                         and ok(FKey(x, t, w, u, d, b))
+                         and ok(FKey(x, y, z, b, t, a))))
+
+
+def _klein_four():
+    return _group_ring("z2xz2", [("1", "1"), ("a", "a"), ("b", "b"),
+                                 ("c", "c")],
+                       [[i ^ j for j in range(4)] for i in range(4)],
+                       tower_preset("rationals"))
+
+
+def test_raw_instances_match_the_reference_loops():
+    rings = [builtin_ring(name) for name in RING_NAMES] + [_klein_four()]
+    for ring in rings:
+        got = list(_raw_instances(ring))
+        assert got == list(_reference_raw_instances(ring)), ring.name
+        if ring.name in ("z3_pointed", "fibonacci", "ising"):
+            assert got == list(_brute_force_instances(ring)), ring.name
+    assert [len(list(_raw_instances(r))) for r in rings] == [81, 47, 132,
+                                                             41391, 256]
+
+
+def _reference_bits(ring, tup):
+    inst = PentagonInstance._make(tup)
+    return (_reference_classify(ring, inst, "unit")
+            | _reference_classify(ring, inst, "identical") << 1)
+
+
+def test_trivial_bits_match_the_reference_rules():
+    for name in RING_NAMES:
+        ring = builtin_ring(name)
+        for tup in _raw_instances(ring):
+            assert _trivial_bits(ring.unit, tup) == _reference_bits(ring, tup)
+    # every tuple over three h3 labels, instance or not; among them the 16
+    # that only the identical rule marks have the unit as their single t
+    h3 = builtin_ring("h3")
+    only_t = 0
+    for labels in product((0, 1, 3), repeat=9):
+        for esum in ((0,), (1,), (3,), (1, 3)):
+            tup = labels + (esum,)
+            bits = _trivial_bits(h3.unit, tup)
+            assert bits == _reference_bits(h3, tup), tup
+            if bits == 2:
+                assert esum == (h3.unit,)
+                only_t += 1
+    assert only_t == 16
+
+
+def _reference_pentagon_plan(ring):
+    pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
+    slots, counts, starts, trivial = (array("H"), array("B"), array("I", [0]),
+                                      bytearray())
+    for tup in _reference_raw_instances(ring):
+        slots.extend(pos[k] for k in PentagonInstance._make(tup).keys())
+        counts.append(len(tup[9]))
+        starts.append(len(slots))
+        trivial.append(_reference_bits(ring, tup))
+    return slots, counts, starts, trivial
+
+
+def _reference_additional_plan(ring):
+    """The mixed-associativity plan by its label loops, the labels s of each
+    check filtered one by one."""
+    pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
+    star = len(pos)
+    N, fus, rng = ring._n, ring._fusion, range(len(ring))
+    slots, counts, starts = array("H"), array("B"), array("I", [0])
+    for a, x1 in product(rng, repeat=2):
+        for x3, x2 in product(fus[(a, x1)], rng):
+            for b, c in product(fus[(x1, x2)], rng):
+                for x4 in fus[(x2, c)]:
+                    for u, y in product(fus[(x3, x4)], fus[(a, b)]):
+                        if not (N[x3][x2][y] and N[y][c][u]):
+                            continue
+                        ss = [s for s in fus[(x1, x4)]
+                              if N[a][s][u] and N[b][c][s]]
+                        slots.extend([star + pos[x3, x2, c, u, x4, y],
+                                      pos[a, x1, x2, y, b, x3]])
+                        for s in ss:
+                            slots.extend([pos[a, x1, x4, u, s, x3],
+                                          star + pos[x1, x2, c, s, x4, b],
+                                          star + pos[a, b, c, u, s, y]])
+                        counts.append(len(ss))
+                        starts.append(len(slots))
+    return slots, counts, starts, bytearray()
+
+
+@pytest.mark.parametrize("name", RING_NAMES)
+def test_plans_match_the_reference_loops(name):
+    ring = builtin_ring(name)
+    assert tuple(_pentagon_plan(ring)) == _reference_pentagon_plan(ring)
+    assert tuple(_additional_plan(ring)) == _reference_additional_plan(ring)

@@ -17,6 +17,10 @@ and two verdicts:
 - ``within bound``: the change's median is no worse than the parent's by
   more than the metric's bound.
 
+It exits 1 when a run is not ``correct``, a run has failures, or a gated
+median is outside its bound, and 0 otherwise, so a pairs run can serve as
+a gate in a script.
+
 Standard library only; it runs the benchmark as a program and neither
 imports nor writes anything under ``bench/`` apart from what a run itself
 writes there.
@@ -80,6 +84,7 @@ def main(argv=None) -> int:
           f"{args.pairs} pairs")
     print("metric | parent median [q1, q3] | change median [q1, q3] | "
           "change % | wins change/parent | gain | within bound")
+    out_of_bound = []
     for m in gated:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         if not all(name in r["metrics"] for side in runs.values() for r in side):
@@ -91,6 +96,8 @@ def main(argv=None) -> int:
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
         gain = wins >= 0.9 * args.pairs and sign * (om - nm) > o3 - o1
         within = sign * (nm - om) <= m["bound"] * abs(om)
+        if not within:
+            out_of_bound.append(name)
         print(f"{name} | {om:.6g} [{o1:.6g}, {o3:.6g}] | "
               f"{nm:.6g} [{n1:.6g}, {n3:.6g}] | "
               f"{100 * (nm - om) / om:+.1f} | {wins}/{losses} | "
@@ -98,7 +105,8 @@ def main(argv=None) -> int:
     failed = [(side, r["failed"]) for side in runs for r in runs[side]
               if r["failed"] or not r["correct"]]
     print(f"runs not correct or with failures: {failed or 'none'}")
-    return 0
+    print(f"medians outside their bound: {out_of_bound or 'none'}")
+    return 1 if failed or out_of_bound else 0
 
 
 if __name__ == "__main__":
