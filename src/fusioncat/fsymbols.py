@@ -16,10 +16,10 @@ The data set holds few distinct values (1431 entries, 51 distinct expression
 texts), so ``parse``, ``serialize`` and ``substitute_params`` work out each
 distinct value once per call (``parse`` in a dict keyed by the text, the
 others in a ``functools.cache`` made for the call) and let the entries share
-the resulting immutable scalars.  The checks build on that sharing: a table
-inverts each distinct block matrix at most once (``FSymbolTable.block_inverse``,
-its one per-block cache), orthogonality is read off that inverse, and the
-exact kernel works once per distinct value object.
+the resulting immutable scalars.  The checks build on that sharing: the
+exact kernel works once per distinct value object, orthogonality is one
+sweep of every block's rows F Ft - I through it, and a table inverts each
+distinct matrix of a block failing it once (``FSymbolTable.block_inverse``).
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class FSymbolTable:
     """A total map from admissible keys to exact scalar values.
 
     A table is never mutated after construction: ``entries`` is not assigned
-    into, and every edit returns a new table.  The block inverses
-    (:attr:`block_inverse`) are kept on the table on that ground, and are
-    freed with it.
+    into, and every edit returns a new table.  The non-orthogonal blocks and
+    their inverses (:attr:`non_orthogonal_blocks`, :attr:`block_inverse`)
+    are kept on the table on that ground, and are freed with it.
     """
 
     def __init__(self, ring: FusionRing, entries: dict[FKey, ParamScalar]):
@@ -158,33 +158,32 @@ class FSymbolTable:
     @cached_property
     def block_inverse(self) -> Callable[[tuple], list]:
         """A block matrix's inverse (:func:`_invert_param_matrix`; ValueError
-        if singular), once per distinct matrix as :meth:`f_matrix` gives it."""
+        if singular), once per distinct matrix as :meth:`f_matrix` gives it;
+        only a block in :attr:`non_orthogonal_blocks` needs one."""
         return cache(partial(_invert_param_matrix, self.ring.tower))
 
-    def block_orthogonal(self, m: tuple) -> bool:
-        """F Ft = I: the cached inverse of F is its transpose.  The sign
-        polynomials form a commutative ring, so a matrix has at most one
-        inverse, and F Ft = I makes it Ft; a singular block is not
-        orthogonal."""
-        try:
-            return self.block_inverse(m) == [list(col) for col in zip(*m)]
-        except ValueError:
-            return False
+    @cached_property
+    def non_orthogonal_blocks(self) -> dict[tuple[int, int, int, int], None]:
+        """The blocks (a, b, c, u) with F Ft != I, singular ones among them,
+        in ``f_blocks`` order (a dict as an ordered set): one sweep of every
+        block's rows F Ft - I (``pentagon._orthogonality_plan``)."""
+        from .pentagon import _Kernel, _orthogonality_plan, _sweep
+        plan, numbers = _orthogonality_plan(self.ring)
+        blocks = f_blocks(self.ring)
+        failing = _sweep(_Kernel(self), plan, 0, len(numbers))
+        return {(blk.a, blk.b, blk.c, blk.u): None
+                for blk in (blocks[numbers[i]] for i, _ in failing)}
 
     def check_orthogonality(self) -> BlockReport:
         """F Ft = Ft F = identity, exactly and symbolically, per block.
 
-        Only F Ft is formed (:meth:`block_orthogonal`): F Ft = I gives
+        Only F Ft is formed (:attr:`non_orthogonal_blocks`): F Ft = I gives
         det F * det Ft = 1, so F is invertible with inverse Ft, and Ft F = I
         follows."""
-        report, t = BlockReport("orthogonality"), self.ring.token
-        for blk in f_blocks(self.ring):
-            report.checked += 1
-            if not self.block_orthogonal(
-                    self.f_matrix(blk.a, blk.b, blk.c, blk.u)):
-                report.failures.append(
-                    f"block ({t(blk.a)},{t(blk.b)},{t(blk.c)};{t(blk.u)})")
-        return report
+        t = self.ring.token
+        return BlockReport("orthogonality", len(f_blocks(self.ring)), [
+            f"block ({t(a)},{t(b)},{t(c)};{t(u)})"
+            for a, b, c, u in self.non_orthogonal_blocks])
 
     def serialize(self) -> str:
         lines = [HEADER,
@@ -205,8 +204,8 @@ class FSymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# block orthogonality and inverses: a block whose sign monomials factor into
-# row times column signs, as all the data set's do, needs field arithmetic only
+# block inverses: a block whose sign monomials factor into row times column
+# signs, as all the data set's do, needs field arithmetic only
 
 
 def _sign_factors(m):
@@ -250,28 +249,21 @@ def _field_matrix_inverse(tower, m):
 def _invert_param_matrix(tower, m):
     """Exact inverse of a matrix over the ring of p1/p2 sign polynomials.
 
-    F Ft = I is tested first, stopping at the first entry that differs; when
-    it holds the inverse is Ft, sharing m's entries.  If :func:`_sign_factors`
-    writes m as D_row C D_col (C over the field, the D diagonal sign
-    monomials, each its own inverse), F Ft = D_row C Ct D_row is I exactly
-    when C Ct is, so the test forms field products only, and the inverse is
+    If :func:`_sign_factors` writes m as D_row C D_col (C over the field,
+    the D diagonal sign monomials, each its own inverse), the inverse is
     D_col C^-1 D_row: one field inversion, entry (i, j) taking the monomial
     ``cols[i] ^ rows[j]``.  Otherwise (an entry like 1 + p1, or monomials
-    that do not factor) F Ft is formed over the sign polynomials, and each
-    distinct substituted matrix is inverted once and every entry read back
-    from its four pointwise inverses by :meth:`ParamScalar.from_points`.
+    that do not factor) each distinct substituted matrix is inverted once
+    and every entry read back from its four pointwise inverses by
+    :meth:`ParamScalar.from_points`.  An orthogonal matrix is inverted like
+    any other; the checks do not ask for its inverse, which is Ft.
     """
-    factors, zero, one, d = _sign_factors(m), tower.zero(), tower.one(), len(m)
-    if factors is None:
-        c, zero = m, ParamScalar.from_field(zero)
-    else:
-        c = [[next(iter(v.terms.values()), zero) for v in row] for row in m]
-    if all(sum((c[i][k] * c[j][k] for k in range(d)), start=zero)
-           == (one if i == j else zero) for i in range(d) for j in range(i, d)):
-        return [list(col) for col in zip(*m)]
+    factors, d = _sign_factors(m), len(m)
     if factors is not None:
         rows, cols = factors
-        inv = _field_matrix_inverse(tower, c)
+        inv = _field_matrix_inverse(tower, [
+            [next(iter(v.terms.values()), tower.zero()) for v in row]
+            for row in m])
         return [[ParamScalar(tower, {cols[i] ^ rows[j]: x})
                  for j, x in enumerate(row)] for i, row in enumerate(inv)]
     invert = cache(partial(_field_matrix_inverse, tower))

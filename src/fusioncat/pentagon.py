@@ -39,7 +39,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce, wraps
-from itertools import chain, islice, product
+from itertools import chain, combinations_with_replacement, islice, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -269,6 +269,33 @@ def _additional_plan(ring: FusionRing) -> _Plan:
     return plan
 
 
+@_per_ring
+def _orthogonality_plan(ring: FusionRing) -> tuple[_Plan, array]:
+    """The rows i <= j of F Ft - I of every block in ``f_blocks`` order, and
+    each check's block number: the pair (F[e_i, f_0], F[e_j, f_0]), the
+    triple (-1, F[e_i, f], F[e_j, f]) for each further column f and, for
+    i = j, the triple (1, 1, 1), with 1 and -1 at positions ``len(keys)``
+    and ``len(keys) + 1`` (see :class:`_Kernel`)."""
+    pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
+    one, minus = len(pos), len(pos) + 1
+    plan = _Plan(array("H"), array("B"), array("I", [0]), bytearray())
+    put, blocks = plan.slots.extend, array("H")
+    for n, blk in enumerate(f_blocks(ring)):
+        rows = [[pos[blk.a, blk.b, blk.c, blk.u, e, f] for f in blk.f_labels]
+                for e in blk.e_labels]
+        for i, j in combinations_with_replacement(range(blk.dim), 2):
+            (p, *ps), (q, *qs) = rows[i], rows[j]
+            put((p, q))
+            for p, q in zip(ps, qs):
+                put((minus, p, q))
+            if i == j:
+                put((one, one, one))
+            plan.counts.append(len(ps) + (i == j))
+            plan.starts.append(len(plan.slots))
+            blocks.append(n)
+    return plan, blocks
+
+
 def _readers(slots: array, starts: array, count: int,
              typecode: str) -> list[array]:
     """For each of ``count`` positions, an ``array(typecode)`` of the
@@ -418,7 +445,8 @@ class _Kernel:
     interned primitive integer direction, one denominator ``L`` serving the
     table and its starred entries, if given.  ``values`` lists the compiled
     values by plan position, entries of one object sharing one tuple: the
-    table's entries in ``enumerate_fkeys`` order, then the starred ones.
+    table's entries in ``enumerate_fkeys`` order, then the starred ones,
+    then the constants 1 and -1.
     Products of two and of three directions (only these depths are needed;
     the full closure would be infinite) are memoized when first met, as
     integer coordinates over ``B`` (see :class:`_Directions`) packed into
@@ -441,9 +469,11 @@ class _Kernel:
         self.tower = table.ring.tower
         dirs = self.dirs = _Directions(self.tower)
         maps = [table.entries] + ([starred] if starred is not None else [])
+        constants = (one := ParamScalar.from_field(self.tower.one()), -one)
         # the distinct value objects in first-occurrence order; the entries
-        # keep them alive, so their ids stay unique for this call
-        distinct = {id(v): v for entries in maps for v in entries.values()}
+        # and constants keep them alive, so their ids stay unique for this call
+        distinct = {id(v): v for v in chain(
+            *(entries.values() for entries in maps), constants)}
         den_l, splits = dirs.compile(
             c for v in distinct.values() for c in v.terms.values())
         self.den_l = den_l
@@ -451,9 +481,10 @@ class _Kernel:
                              for m, c in v.terms.items())
                     for i, v in distinct.items()}
         keys = enumerate_fkeys(table.ring)
-        self.values = [compiled[id(entries[k])]
-                       for entries in maps for k in keys]
-        # a plan check sums over the labels of one fusion product
+        self.values = [compiled[id(v)] for v in chain(
+            *([entries[k] for k in keys] for entries in maps), constants)]
+        # a plan check sums over the labels of one fusion product; a block
+        # row has at most d triples, d <= |b ⊗ c| for block (a, b, c; u)
         width = self.width = self._width(
             max(map(len, table.ring._fusion.values())), compiled.values())
         # prod2[i][j] and prod3[i][j][k]: packed coordinates, filled on first
@@ -730,22 +761,24 @@ def starred_entries(table: FSymbolTable) -> dict[FKey, ParamScalar]:
 
     Addressed by the same keys as the table itself, so the starred factor
     (F_u^{abc})*_{f e} is ``starred[key(a, b, c, u, e, f)]``.  A singular
-    block raises ValueError naming it.  Each distinct block matrix is
-    inverted once per table, and blocks of equal matrices share the entries
-    of its inverse.
+    block raises ValueError naming it.  An orthogonal block's inverse is Ft,
+    so its starred entries are the table's own; the blocks in
+    :attr:`FSymbolTable.non_orthogonal_blocks` are inverted, each distinct
+    matrix once per table, blocks of equal matrices sharing its entries.
     """
-    out: dict[FKey, ParamScalar] = {}
-    for blk in f_blocks(table.ring):
-        out.update(_starred_block(table, blk.a, blk.b, blk.c, blk.u))
+    out = dict(table.entries)
+    for a, b, c, u in table.non_orthogonal_blocks:
+        out.update(_starred_block(table, a, b, c, u))
     return out
 
 
 def _starred_block(table: FSymbolTable, a: int, b: int, c: int,
                    u: int) -> dict[FKey, ParamScalar]:
     """The starred entries of one block, keyed as in :func:`starred_entries`."""
-    ring = table.ring
+    ring, m = table.ring, table.f_matrix(a, b, c, u)
     try:
-        inv = table.block_inverse(table.f_matrix(a, b, c, u))
+        inv = (table.block_inverse(m) if (a, b, c, u)
+               in table.non_orthogonal_blocks else list(zip(*m)))
     except ValueError as exc:
         t = ring.token
         raise ValueError(f"{exc}: ({t(a)},{t(b)},{t(c)};{t(u)})") from None

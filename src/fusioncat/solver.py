@@ -12,11 +12,11 @@ steps until nothing moves:
      univariate conclusions without any Groebner machinery.
 
 Equations come from the pentagon instances, from the orthogonality of every
-block (its row dot products, F Ft = I), and for h3 from the two square-pop
-relations (valid in the data-set gauge only).  Branches are explored
-depth-first; any equation with no unknowns and a nonzero constant kills its
-branch.  Every completed table is re-verified with the independent pentagon
-and orthogonality checkers before it is returned.
+block (the orthogonality check's rows F Ft = I), and for h3 from the two
+square-pop relations (valid in the data-set gauge only).  Branches are
+explored depth-first; any equation with no unknowns and a nonzero constant
+kills its branch.  Every completed table is re-verified with the independent
+pentagon and orthogonality checkers before it is returned.
 
 The pentagon and orthogonality equations and the square-pop relations of
 a ring are compiled once per ring object, on first use, into one plan
@@ -46,17 +46,17 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement, compress
+from itertools import compress
 from math import lcm
 from operator import sub
 
 from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
                        gauss_jordan, named_constant)
 from .fsymbols import FSymbolTable
-from .fusionring import (FKey, FusionRing, builtin_ring, enumerate_fkeys,
-                         f_blocks, is_h3)
-from .pentagon import (_Directions, _Memo, _pentagon_plan, _per_ring,
-                       _readers, _square_pop_relations, _unpack, verify_all)
+from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, is_h3
+from .pentagon import (_Directions, _Memo, _orthogonality_plan, _pentagon_plan,
+                       _per_ring, _readers, _square_pop_relations, _unpack,
+                       verify_all)
 
 Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> coeff
 
@@ -148,15 +148,13 @@ class _Plan:
     order, which is also its id as an unknown; position ``len(keys) + j``
     holds ``constants[j]`` (1, -1, then the relations' constants).  The
     pentagon equations come first, a copy of the pentagon sweep's own plan.
-    Then, block by block, the row equations of F Ft = I (sum_f F[e_i, f]
-    F[e_j, f] - delta_ij for i <= j): the pair (F[e_i, f_0], F[e_j, f_0]),
-    the triple (-1, F[e_i, f], F[e_j, f]) for each further column f and, for
-    i = j, the triple (1, 1, 1).  Rows suffice: F Ft = I gives det F * det Ft
-    = 1, so Ft is F's inverse and Ft F = I follows.  Last, each square-pop
-    relation (:func:`_square_pop_relations`) as a multiple of itself,
-    c1 K3 + c2 K4 - sqrt(d) K1 K2: the pair (c1, K3), then the triples
-    (-c2, K4, 1) and (sqrt(d), K1, K2).  No conclusion of a round depends on
-    an equation's scale.
+    Then, block by block, the row equations of F Ft = I, a copy of the
+    orthogonality sweep's shared plan (``pentagon._orthogonality_plan``),
+    which also reads 1 and -1 at the first two positions past the keys.
+    Last, each square-pop relation (:func:`_square_pop_relations`) as a
+    multiple of itself, c1 K3 + c2 K4 - sqrt(d) K1 K2: the pair (c1, K3),
+    then the triples (-c2, K4, 1) and (sqrt(d), K1, K2).  No conclusion of a
+    round depends on an equation's scale.
     """
 
     def __init__(self, ring: FusionRing):
@@ -168,21 +166,12 @@ class _Plan:
         def constant(v: FieldScalar) -> int:
             return len(pos) + constants.setdefault(v, len(constants))
 
-        pentagon = _pentagon_plan(ring)
+        pentagon, rows = _pentagon_plan(ring), _orthogonality_plan(ring)[0]
         slots = array("H", pentagon.slots)
         starts = array("I", pentagon.starts)
         self.n_pentagon = len(starts) - 1
-        for blk in f_blocks(ring):
-            rows = [[pos[blk.a, blk.b, blk.c, blk.u, e, f] for f in blk.f_labels]
-                    for e in blk.e_labels]
-            for i, j in combinations_with_replacement(range(blk.dim), 2):
-                (p, *ps), (q, *qs) = rows[i], rows[j]
-                slots.extend((p, q))
-                for p, q in zip(ps, qs):
-                    slots.extend((constant(-one), p, q))
-                if i == j:
-                    slots.extend((constant(one),) * 3)
-                starts.append(len(slots))
+        starts.extend(len(slots) + s for s in rows.starts[1:])
+        slots.extend(rows.slots)
         for (sqrt_d, k1, k2), ((c1, k3), (c2, k4)) in (
                 _square_pop_relations(ring).values()):
             slots.extend((constant(c1), pos[k3], constant(-c2), pos[k4],

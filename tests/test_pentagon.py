@@ -8,7 +8,8 @@ import weakref
 from array import array
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice, permutations, product, starmap
+from itertools import (chain, combinations_with_replacement, islice,
+                       permutations, product, starmap)
 from math import lcm
 from operator import mul
 
@@ -30,7 +31,8 @@ from fusioncat.pentagon import (PentagonInstance, VerifyReport,
                                 starred_entries, verify_all)
 from fusioncat.pentagon import (TRIVIALITY_RULES, _additional_plan,
                                 _Directions, _Kernel, _instance_keys,
-                                _is_identical, _pentagon_plan, _raw_instances,
+                                _is_identical, _orthogonality_plan,
+                                _pentagon_plan, _raw_instances,
                                 _sweep, _trivial_bits, _unpack)
 from fusioncat.solver import solve
 
@@ -1042,11 +1044,13 @@ def test_galois_conjugates_pass_every_check(table, h3):
 
 def _reference_compile(table, starred=None):
     """The per-entry compile: every entry of every map split on its own, in
-    entry order; returns (values, den_l, prims, width)."""
+    entry order, then the constants 1 and -1; returns (values, den_l, prims,
+    width)."""
     dirs = _Directions(table.ring.tower)
     maps = [table.entries] + ([starred] if starred is not None else [])
+    one = ParamScalar.from_field(table.ring.tower.one())
     splits = {}
-    for entries in maps:
+    for entries in maps + [{0: one, 1: -one}]:
         for v in entries.values():
             for coeff in v.terms.values():
                 num, den = coords = coeff.integer_coords()
@@ -1055,13 +1059,13 @@ def _reference_compile(table, starred=None):
     den_l = lcm(*(den for _, _, den in splits.values()))
     keys = enumerate_fkeys(table.ring)
     values = []
-    for entries in maps:
-        for k in keys:
-            terms = []
-            for m, c in entries[k].terms.items():
-                g, pid, den = splits[c.integer_coords()]
-                terms.append((m, g * (den_l // den), pid))
-            values.append(tuple(terms))
+    for v in chain(*([entries[k] for k in keys] for entries in maps),
+                   (one, -one)):
+        terms = []
+        for m, c in v.terms.items():
+            g, pid, den = splits[c.integer_coords()]
+            terms.append((m, g * (den_l // den), pid))
+        values.append(tuple(terms))
     kernel = _Kernel(table, starred=starred)
     summands = max(map(len, table.ring._fusion.values()))
     # the width from the maxima over every entry's compiled value
@@ -1241,8 +1245,10 @@ def test_block_inverse_matches_the_four_point_reference(table, h3):
                     tab.block_inverse(m)
             else:
                 assert tab.block_inverse(m) == reference(m), blk
-            assert tab.block_orthogonal(m) == _reference_orthogonal(m), blk
-            kinds.add((_sign_factors(m) is not None, tab.block_orthogonal(m)))
+            orthogonal = (blk.a, blk.b, blk.c, blk.u) not in (
+                tab.non_orthogonal_blocks)
+            assert orthogonal == _reference_orthogonal(m), blk
+            kinds.add((_sign_factors(m) is not None, orthogonal))
     # every block of the all-zero table and the one all-rho block
     assert singular == len(f_blocks(h3)) + 1
     # factoring and not, orthogonal and not, all met
@@ -1291,25 +1297,104 @@ def test_data_set_blocks_need_no_elimination_and_results_die_with_the_table(
         tab = tab.map_entries(lambda k, v: v)
         assert all(check(tab).passed for check in checks)
     assert calls == []
-    # the gauged blocks do take elimination, in the orthogonality check that
-    # reads their inverses; check_additional reuses every one of them, and
-    # each distinct block matrix is split into signs and field part once
+    # the orthogonality check of a gauged table eliminates nothing; then
+    # check_additional inverts each distinct matrix of the blocks that fail
+    # it once, each split into signs and field part once
     del split[:]
     gauged = table.apply_gauge(_random_gauge(h3, random.Random(2024)))
     assert not gauged.check_orthogonality().passed
-    eliminated = len(calls)
-    assert eliminated
-    assert check_additional(gauged).passed and len(calls) == eliminated
+    assert calls == [] and split == []
+    assert check_additional(gauged).passed
     matrices = {gauged.f_matrix(blk.a, blk.b, blk.c, blk.u)
-                for blk in f_blocks(h3)}
+                for blk in f_blocks(h3)
+                if (blk.a, blk.b, blk.c, blk.u) in gauged.non_orthogonal_blocks}
     assert len(matrices) < len(f_blocks(h3))
     assert len(split) == len(matrices) and set(split) == matrices
+    assert len(calls) == len(matrices)
     # the inverses are kept on the table only: a weak reference to it dies
     # with it
     dead = weakref.ref(gauged)
     del gauged
     gc.collect()
     assert dead() is None
+
+
+def _reference_rows(tab):
+    """Every block's F Ft - I at i <= j, block by block, over the sign
+    polynomials."""
+    zero = ParamScalar.from_field(tab.ring.tower.zero())
+    one = ParamScalar.from_field(tab.ring.tower.one())
+    for blk in f_blocks(tab.ring):
+        m = tab.f_matrix(blk.a, blk.b, blk.c, blk.u)
+        for i, j in combinations_with_replacement(range(blk.dim), 2):
+            yield (sum((m[i][k] * m[j][k] for k in range(blk.dim)), start=zero)
+                   - (one if i == j else zero))
+
+
+def test_orthogonality_sweep_matches_the_reference_blocks(table, h3,
+                                                          monkeypatch):
+    inverted = []
+    invert = fsymbols._invert_param_matrix
+    monkeypatch.setattr(fsymbols, "_invert_param_matrix",
+                        lambda *args: inverted.append(args) or invert(*args))
+    signs = [table.substitute_params(p1, p2)
+             for p1 in (1, -1) for p2 in (1, -1)]
+    negated = [negate_entry(table, next(blk.keys()))
+               for blk in (next(b for b in f_blocks(h3) if b.dim == d)
+                           for d in (1, 3, 4))]
+    # the all-ones table takes a row's coordinates within a bit of the
+    # kernel's width, so a short width misreads its residuals
+    singular = _singular_tables(table, h3) + [all_ones_table(h3)]
+    tables = ([table] + signs
+              + [table.apply_gauge(_random_gauge(h3, random.Random(2024))),
+                 _planted_table(table, h3)] + singular
+              + [table.map_entries(lambda k, v: v * 2)] + negated)
+    plan, numbers = _orthogonality_plan(h3)
+    zero = ParamScalar.from_field(h3.tower.zero())
+    raised = 0
+    for n, tab in enumerate(tables):
+        tab = tab.map_entries(lambda k, v: v)  # no per-block results yet
+        if n < 1 + len(signs):
+            checks = (FSymbolTable.check_orthogonality, check_addtriv,
+                      check_additional)
+            assert all(check(tab).passed for check in checks)
+            assert inverted == []
+        # the blocks the sweep flags, in block order, are the reference's
+        assert list(tab.non_orthogonal_blocks) == [
+            (blk.a, blk.b, blk.c, blk.u) for blk in f_blocks(h3)
+            if not _reference_orthogonal(
+                tab.f_matrix(blk.a, blk.b, blk.c, blk.u))]
+        # and so is every residual the sweep reads
+        kernel = _Kernel(tab)
+        got = dict(_sweep(kernel, plan, 0, len(numbers)))
+        assert [kernel.scalar(got[i]) if i in got else zero
+                for i in range(len(numbers))] == list(_reference_rows(tab))
+        try:
+            want = _reference_starred(tab)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="block matrix is singular"):
+                starred_entries(tab)
+        else:
+            assert starred_entries(tab) == want
+    assert raised == len(singular)
+
+
+def test_orthogonality_checks_fit_the_kernel_width():
+    """The kernel's width covers as many triples per check as the largest
+    fusion product has labels; a block row i <= j has one triple per column
+    past the first and one more on the diagonal, at most d triples for a
+    d-dimensional block (a, b, c; u), and d <= |b x c|."""
+    for ring in [builtin_ring(name) for name in RING_NAMES] + [_klein_four()]:
+        plan, numbers = _orthogonality_plan(ring)
+        blocks = f_blocks(ring)
+        summands = max(map(len, ring._fusion.values()))
+        assert len(plan.counts) == len(numbers) == sum(
+            blk.dim * (blk.dim + 1) // 2 for blk in blocks)
+        for count, n in zip(plan.counts, numbers):
+            blk = blocks[n]
+            assert count <= blk.dim <= len(ring.fusion(blk.b, blk.c))
+            assert count <= summands
 
 
 def test_raw_instances_share_each_distinct_e_sum(h3):

@@ -1,15 +1,16 @@
 """Alternating parent/change pairs of the benchmark's end-to-end metrics.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload rederive --pairs 10 \
-        --seed 11 --seconds 20
+    python3 tools/bench_pairs.py PARENT CHANGE --workload rederive \
+        --workload certify-h3 --pairs 10 --seed 11 --seconds 20
 
-PARENT and CHANGE are two checkouts of this repository.  Pair ``i`` runs
-``bench/run.py --trace 0`` once in each, the parent first in even pairs and
-the change first in odd ones, and reads the result line each run prints
-last.  Every run is printed as it ends.  Then, for each end-to-end metric
-that ``BENCHMARK.json`` of the change gates, the table gives each side's
-median and quartiles, the pairs each side won (a tie counts for neither),
-and two verdicts:
+PARENT and CHANGE are two checkouts of this repository.  Each workload
+given runs its pairs in turn.  Pair ``i`` runs ``bench/run.py --trace 0``
+once in each checkout, the parent first in even pairs and the change first
+in odd ones, and reads the result line each run prints last.  Every run is
+printed as it ends.  Then, per workload, for each end-to-end metric that
+``BENCHMARK.json`` of the change gates, a table gives each side's median
+and quartiles, the pairs each side won (a tie counts for neither), and two
+verdicts:
 
 - ``gain``: the change won at least nine tenths of the pairs, and its
   median is better than the parent's by more than the distance between the
@@ -17,9 +18,9 @@ and two verdicts:
 - ``within bound``: the change's median is no worse than the parent's by
   more than the metric's bound.
 
-It exits 1 when a run is not ``correct``, a run has failures, or a gated
-median is outside its bound, and 0 otherwise, so a pairs run can serve as
-a gate in a script.
+It exits 1 when, on any workload, a run is not ``correct``, a run has
+failures, or a gated median is outside its bound, and 0 otherwise, so a
+pairs run can serve as a gate in a script.
 
 Standard library only; it runs the benchmark as a program and neither
 imports nor writes anything under ``bench/`` apart from what a run itself
@@ -55,18 +56,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent")
-    p.add_argument("change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=int, required=True)
-    args = p.parse_args(argv)
-    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        gated = json.load(f)["end_to_end"]
-
+def compare(args, gated: list[dict]) -> bool:
+    """Run ``args.pairs`` pairs of ``args.workload`` and print its table;
+    whether every run is correct without failures and every gated median
+    within its bound."""
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -76,7 +69,8 @@ def main(argv=None) -> int:
             runs[side].append(result)
             values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                               for m in gated if m["name"] in result["metrics"])
-            print(f"pair {i + 1} {side}: correct={result['correct']} "
+            print(f"{args.workload} pair {i + 1} {side}: "
+                  f"correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']} {values}",
                   flush=True)
 
@@ -105,8 +99,25 @@ def main(argv=None) -> int:
     failed = [(side, r["failed"]) for side in runs for r in runs[side]
               if r["failed"] or not r["correct"]]
     print(f"runs not correct or with failures: {failed or 'none'}")
-    print(f"medians outside their bound: {out_of_bound or 'none'}")
-    return 1 if failed or out_of_bound else 0
+    print(f"medians outside their bound: {out_of_bound or 'none'}\n")
+    return not (failed or out_of_bound)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload to run; give it once per workload")
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seconds", type=int, required=True)
+    args = p.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        gated = json.load(f)["end_to_end"]
+    passed = [compare(argparse.Namespace(**{**vars(args), "workload": w}), gated)
+              for w in args.workload]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
