@@ -17,11 +17,12 @@ The sweeps split what depends on the ring from what depends on the table.
 Once per ring object, each sweep's checks are compiled into a plan of key
 positions (:class:`_Plan`); a check is named by its number in the plan.
 Inverting the pentagon plan (:func:`_readers`) lists, per key, the numbers
-of the checks that read it; the mutation probe sweeps those checks one at a
-time, and the probe index is a view of the plan and that map.  Once per
-table, the values are compiled into integer coefficients over one
-denominator times interned primitive field directions, listed by key
-position, with the products of two and three directions memoized as
+of the checks that read it; the mutation probe sweeps those checks one at
+a time, and the probe index is two fresh views of the plan and that map;
+only the instance view (:class:`_Instances`) decodes a check back into
+labels.  Once per table, the values are compiled into integer coefficients
+over one denominator times interned primitive field directions, listed by
+key position, with the products of two and three directions memoized as
 integer tower coordinates packed into one integer, a fixed number of bits
 per coordinate.  A residual is then one integer multiply-add per term into
 four packed accumulators, one per sign monomial.  The field width comes
@@ -79,7 +80,8 @@ class PentagonInstance(NamedTuple):
 
 
 def _instance_keys(tup) -> list[tuple]:
-    """The keys of a raw instance tuple as plain label tuples."""
+    """The keys of a raw instance tuple as plain label tuples: the two
+    left-hand keys, then the three right-hand keys of each summand."""
     x, y, z, w, u, a, b, c, d, esum = tup
     out = [(x, y, c, u, d, a), (a, z, w, u, c, b)]
     for t in esum:
@@ -130,13 +132,10 @@ def _raw_instances(ring: FusionRing):
 
 def _is_identical(unit: int, tup) -> bool:
     """The identical rule (see :func:`classify`) on a raw instance tuple."""
-    x, y, z, w, u, a, b, c, d, esum = tup
-    if len(esum) != 1:
+    if len(tup[9]) != 1:
         return False
-    t = esum[0]
-    lhs = ((x, y, c, u, d, a), (a, z, w, u, c, b))
-    rhs = ((y, z, w, d, c, t), (x, t, w, u, d, b), (x, y, z, b, t, a))
-    return (sorted(k for k in lhs if unit not in k[:3])
+    l1, l2, *rhs = _instance_keys(tup)
+    return (sorted(k for k in (l1, l2) if unit not in k[:3])
             == sorted(k for k in rhs if unit not in k[:3]))
 
 
@@ -169,13 +168,11 @@ def classify(ring: FusionRing, inst: PentagonInstance, rule: str = "unit") -> bo
 
 def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
     """Left side minus right side, exact and symbolic in p1, p2."""
-    x, y, z, w, u, a, b, c, d = inst.labels
-    g = table.entries
-    lhs = g[FKey(x, y, c, u, d, a)] * g[FKey(a, z, w, u, c, b)]
+    it = map(table.entries.__getitem__, _instance_keys(inst))
+    lhs = next(it) * next(it)
     rhs = ParamScalar.from_field(table.ring.tower.zero())
-    for t in inst.e_sum:
-        rhs = rhs + (g[FKey(y, z, w, d, c, t)] * g[FKey(x, t, w, u, d, b)]
-                     * g[FKey(x, y, z, b, t, a)])
+    for g1, g2, g3 in zip(it, it, it):
+        rhs = rhs + g1 * g2 * g3
     return lhs - rhs
 
 
@@ -185,9 +182,9 @@ def residual(inst: PentagonInstance, table: FSymbolTable) -> ParamScalar:
 def _per_ring(build):
     """``build(ring)``, computed once per ring object and dropped with it.
 
-    The cache holds its values strongly, so a value must not hold its ring
-    strongly (hold a ``weakref`` to it, or only what is read): a value that
-    does keeps its ring, and itself, alive for the process."""
+    The cache holds its values strongly, so a value must hold only what is
+    read from its ring, never the ring itself: a value that does keeps its
+    ring, and itself, alive for the process."""
     cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @wraps(build)
@@ -215,7 +212,8 @@ class _Plan(NamedTuple):
 @_per_ring
 def _pentagon_plan(ring: FusionRing) -> _Plan:
     """Every pentagon instance in enumeration order, its keys (as
-    :func:`_instance_keys` lists them) by position in ``enumerate_fkeys``."""
+    :func:`_instance_keys` lists them) by position in ``enumerate_fkeys``;
+    spelled out here, as a call per instance slows the h3 build by a third."""
     pos = {k: i for i, k in enumerate(enumerate_fkeys(ring))}
     plan = _Plan(array("H"), array("B"), array("I", [0]), bytearray())
     put, unit = plan.slots.append, ring.unit
@@ -316,14 +314,6 @@ def _key_checks(ring: FusionRing) -> dict[FKey, array]:
     readers = _readers(plan.slots, plan.starts, len(keys), "I")
     first = sorted((found[0], p) for p, found in enumerate(readers) if found)
     return {keys[p]: readers[p] for _, p in first}
-
-
-def _failing(ring: FusionRing, plan: _Plan, nonzero) -> list:
-    """The two left-hand keys and the accumulator of every nonzero check."""
-    keys = enumerate_fkeys(ring) * 2  # starred positions repeat the keys
-    slots, starts = plan.slots, plan.starts
-    return [(keys[slots[starts[i]]], keys[slots[starts[i] + 1]], acc)
-            for i, acc in nonzero]
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +582,9 @@ def _range_failures(kernel: _Kernel, ring: FusionRing, mask: int, start: int,
                     stop: int) -> list[tuple[tuple, str]]:
     """(labels, rendered residual) of every failing pentagon instance among
     ``start`` to ``stop`` whose triviality bits miss ``mask``."""
-    plan = _pentagon_plan(ring)
-    return [((x, y, z, w, u, a, b, c, d), render_scalar(kernel.scalar(acc)))
-            for (x, y, c, u, d, a), (_, z, w, _, _, b), acc in _failing(
-                ring, plan, _sweep(kernel, plan, start, stop, mask))]
+    instances, plan = _Instances(ring), _pentagon_plan(ring)
+    return [(instances[i][:9], render_scalar(kernel.scalar(acc)))
+            for i, acc in _sweep(kernel, plan, start, stop, mask)]
 
 
 _FORK_STATE: dict = {}
@@ -665,36 +654,19 @@ def negate_entry(table: FSymbolTable, key: FKey) -> FSymbolTable:
     return FSymbolTable(table.ring, entries)
 
 
-class _RingView:
-    """A read-only view of one ring's per-ring data that holds the ring
-    weakly, so a per-ring cache may keep it (see :func:`_per_ring`), and
-    builds nothing until it is read."""
-
-    __slots__ = ("_ring",)
-
-    def __init__(self, ring: FusionRing):
-        self._ring = weakref.ref(ring)
-
-    def _live(self) -> FusionRing:
-        ring = self._ring()
-        if ring is None:
-            raise ReferenceError("the ring of this view is gone")
-        return ring
-
-
-class _Instances(_RingView, Sequence):
+class _Instances(Sequence):
     """The pentagon instances of one ring in enumeration order, read back
     from its pentagon plan: item ``i`` equals the ``i``-th tuple of
     :func:`_raw_instances`."""
 
-    __slots__ = ()
+    def __init__(self, ring: FusionRing):
+        self._ring = ring
 
     def __len__(self) -> int:
-        return len(_pentagon_plan(self._live()).counts)
+        return len(_pentagon_plan(self._ring).counts)
 
     def __getitem__(self, i: int) -> tuple:
-        ring = self._live()
-        plan, keys = _pentagon_plan(ring), ring._fkeys
+        plan, keys = _pentagon_plan(self._ring), self._ring._fkeys
         count = len(plan.counts)
         if i < 0:
             i += count
@@ -709,29 +681,29 @@ class _Instances(_RingView, Sequence):
         return (x, y, z, w, u, a, b, c, d, esum)
 
 
-class _KeyChecks(_RingView, Mapping):
+class _KeyChecks(Mapping):
     """The map of :func:`_key_checks` for one ring."""
 
-    __slots__ = ()
+    def __init__(self, ring: FusionRing):
+        self._ring = ring
 
     def __getitem__(self, key: FKey) -> array:
-        return _key_checks(self._live())[key]
+        return _key_checks(self._ring)[key]
 
     def __iter__(self) -> Iterator[FKey]:
-        return iter(_key_checks(self._live()))
+        return iter(_key_checks(self._ring))
 
     def __len__(self) -> int:
-        return len(_key_checks(self._live()))
+        return len(_key_checks(self._ring))
 
 
-@_per_ring
 def key_instance_index(ring: FusionRing) -> tuple[Sequence[tuple],
                                                   Mapping[FKey, array]]:
     """The raw instance tuples in enumeration order, as a read-only view
     over the pentagon plan, and a read-only map FKey -> ``array('I')`` of
     the ascending check numbers of the instances that read it, which are
-    also their positions in the view.  Both hold the ring weakly and read
-    the plan, or invert it, only when first read."""
+    also their positions in the view.  Each call makes two fresh views,
+    which hold the ring and read the plan, or invert it, when first read."""
     return _Instances(ring), _KeyChecks(ring)
 
 
@@ -842,9 +814,11 @@ def check_additional(table: FSymbolTable) -> BlockReport:
     kernel = _Kernel(table, starred=starred)
     plan = _additional_plan(ring)
     report.checked = len(plan.counts)
-    nonzero = _sweep(kernel, plan, 0, report.checked)
-    for (x3, x2, c, u, x4, y), (a, x1, _, _, b, _), _ in _failing(ring, plan,
-                                                                  nonzero):
+    keys, slots, starts = ring._fkeys, plan.slots, plan.starts
+    for i, _ in _sweep(kernel, plan, 0, report.checked):
+        # a check opens with a starred key, then an unstarred one
+        x3, x2, c, u, x4, y = keys[slots[starts[i]] - len(keys)]
+        a, x1, _, _, b, _ = keys[slots[starts[i] + 1]]
         report.failures.append(f"a={a} x1={x1} x2={x2} x3={x3} "
                                f"x4={x4} c={c} u={u} b={b} y={y}")
     return report

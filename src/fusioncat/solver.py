@@ -32,11 +32,11 @@ changed, and a branch child of :func:`solve` starts from its parent's fold.
 The round's system is then read off in plan order, so it has exactly the
 equations and the first contradiction of a fold from scratch.  A fold
 multiplies known values as the pentagon kernel does, in packed integer
-tower coordinates compiled once for its lineage and extended by each
-update.  The first fold, from the empty assignment, folds only the block
-rows, the relations and the pentagon equations that read a known key (over
-no knowns every other one has too many unknowns to keep), and no fold
-folds an identical-rule equation while the unit-label keys are 1.
+tower coordinates, compiled from its own values whenever it meets a new
+one.  The first fold, from the empty assignment, folds only the block rows,
+the relations and the pentagon equations that read a known key (over no
+knowns every other one has too many unknowns to keep), and no fold folds
+an identical-rule equation while the unit-label keys are 1.
 """
 
 from __future__ import annotations
@@ -223,14 +223,14 @@ class _Fold:
     products of its terms' known factors scaled to ``L**3 * B``, in a width
     proven from the compiled values; as 1 is among them, a term of fewer
     than three known factors is bounded as one padded with ones.  A moved
-    fold inherits its compile state: the interned ``dirs`` and the values
-    ``met`` only grow along the lineage, and a new value recompiles
-    ``splits`` (each value as ``(n, pid)``), ``L`` and the width, the
-    product memos kept while ``L`` and the width stay.
+    fold inherits its compile state, and a value it has not compiled
+    recompiles ``splits`` (each value as ``(n, pid)``), ``L`` and the width
+    from its own values, the product memos kept while ``L`` and the width
+    stay; the interned ``dirs`` only grow, shared by every fold of a search.
     """
 
-    __slots__ = ("plan", "values", "outcomes", "known", "dirs", "met",
-                 "splits", "den_l", "width", "products", "coefficients")
+    __slots__ = ("plan", "values", "outcomes", "known", "dirs", "splits",
+                 "den_l", "width", "products", "coefficients")
 
     def __init__(self, plan: _Plan):
         self.plan, self.outcomes = plan, None
@@ -238,11 +238,12 @@ class _Fold:
         self.values = self.known = [None] * (len(plan.keys)
                                              + len(plan.constants))
         self.dirs, self.den_l, self.width = _Directions(plan.tower), 0, 0
-        self.met, self.splits = {}, {}
+        self.splits = {}
 
     def _compile(self) -> None:
         dirs = self.dirs
-        den_l, self.splits = dirs.compile(self.met.values())
+        den_l, self.splits = dirs.compile(
+            v for v in self.values if v is not None and not v.is_zero())
         n_max = max(abs(n) for n, _ in self.splits.values())
         width = dirs.width(den_l, 0, self.plan.most_terms * n_max ** 3)
         if (den_l, width) != (self.den_l, self.width):
@@ -274,10 +275,9 @@ class _Fold:
                 touched[i] = 1
         new = copy.copy(self)
         new.values, new.outcomes, new.known = values, outcomes, list(self.known)
-        fresh = {v.integer_coords(): v for v in map(values.__getitem__, changed)
-                 if v is not None and not v.is_zero()}
-        if any(c not in self.splits for c in fresh):
-            new.met.update(fresh)
+        if any(v is not None and not v.is_zero()
+               and v.integer_coords() not in self.splits
+               for v in map(values.__getitem__, changed)):
             new._compile()
         for p in changed if new.den_l == self.den_l else range(len(values)):
             v = values[p]

@@ -582,3 +582,12 @@ def test_generator_enclosures_are_reused(h3):
     assert h3._gen_ivs
     h3._gen_ivs.clear()
     assert (x.sign(), x.approx_fraction(64), x.interval(100)) == first
+
+
+def test_parse_skips_blanks_and_names_what_is_missing(h3):
+    assert parse_scalar(" 1 +\tr13 ", h3) == parse_scalar("1+r13", h3)
+    for text, message, pos in (("(1", r"expected '\)'", 2),
+                               ("1/", "expected a denominator", 2)):
+        with pytest.raises(ScalarParseError, match=message) as err:
+            parse_scalar(text, h3)
+        assert err.value.pos == pos

@@ -260,6 +260,14 @@ def test_parse_error_positions_survive_shared_values(table):
     assert err.value.line == 21
 
 
+def test_parse_skips_blank_lines_and_rejects_an_empty_data_set(table):
+    lines = table.serialize().splitlines()
+    assert parse("\n".join(lines[:3] + ["", "  "] + lines[3:])) == table
+    with pytest.raises(DatasetParseError, match="empty data set") as err:
+        parse("h3fsym v1\n")
+    assert err.value.line == 1
+
+
 def test_parse_errors_name_one_column_of_the_line():
     for entry, message in (("F r r r r 1 1 = 1/0", "column 19: zero denominator"),
                            ("   F r r r r 1 1", "column 16: expected '='")):

@@ -148,3 +148,15 @@ def test_key_and_block_lists_are_fresh_copies():
     assert len(f_blocks(fib)) == len(blocks) + 1
     assert fib.admissible_keys == frozenset(enumerate_fkeys(fib))
     assert all(fib.admissible(k) for k in fib.admissible_keys)
+
+
+def test_incomplete_tables_and_bad_indices_are_rejected(h3):
+    products = {(a, b): tuple(c for c in range(6) if h3.n(a, b, c))
+                for a in range(6) for b in range(6)}
+    del products[(3, 3)]
+    with pytest.raises(ValueError, match="fusion table is incomplete"):
+        FusionRing("broken", [(o.name, o.token) for o in h3.objects], 0,
+                   products, h3.duals, h3.dims, h3.tower)
+    for index in (6, -1):
+        with pytest.raises(ValueError, match=f"index {index} out of range"):
+            h3.label(index)

@@ -571,23 +571,6 @@ def test_index_cache_is_per_ring_object():
     assert len(key_instance_index(builtin_ring("h3"))[0]) == 41391
 
 
-def test_index_holds_its_ring_weakly():
-    impostor = _group_ring("h3", [("1", "1"), ("α", "a"), ("α*", "as")],
-                           [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
-                           tower_preset("rationals"))
-    ring_ref = weakref.ref(impostor)
-    instances, index = key_instance_index(impostor)
-    key = FKey(1, 1, 1, 0, 2, 2)
-    assert find_failing_instance(
-        negate_entry(all_ones_table(impostor), key), key) is not None
-    assert instances[0] == next(_raw_instances(impostor))
-    del impostor
-    gc.collect()
-    assert ring_ref() is None
-    with pytest.raises(ReferenceError):
-        instances[0]
-
-
 @pytest.mark.parametrize("name,count", [("fibonacci", 47), ("ising", 132),
                                         ("h3", 41391)])
 def test_instance_view_reads_the_stream(name, count):
@@ -614,7 +597,7 @@ def test_index_build_never_builds_the_pentagon_plan(monkeypatch):
         raise AssertionError("the index built the pentagon plan")
 
     monkeypatch.setattr(pentagon, "_pentagon_plan", refuse)
-    instances, index = key_instance_index.__wrapped__(ring)
+    instances, index = key_instance_index(ring)
     monkeypatch.undo()
     assert len(instances) == 41391 and len(index) == len(enumerate_fkeys(ring))
     assert instances[7] == next(islice(_raw_instances(ring), 7, None))
@@ -700,19 +683,6 @@ def test_first_index_read_builds_the_map_once(monkeypatch):
     assert find_failing_instance(
         negate_entry(all_ones_table(ring), key), key) is not None
     assert len(calls) == 1
-
-
-def test_index_views_raise_once_their_ring_is_gone():
-    ring = _impostor()
-    instances, index = key_instance_index(ring)
-    del ring
-    gc.collect()
-    for read in (len, list, lambda view: view[0]):
-        with pytest.raises(ReferenceError):
-            read(instances)
-    for read in (len, list, lambda view: view[FKey(1, 1, 1, 0, 2, 2)]):
-        with pytest.raises(ReferenceError):
-            read(index)
 
 
 def _read_index(ring):

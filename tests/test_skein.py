@@ -161,3 +161,10 @@ def test_confluence_on_corpus():
     for g in graphs:
         results = evaluate_all_orders(g, GENERIC)
         assert len(results) == 1
+
+
+def test_malformed_diagrams_are_rejected():
+    with pytest.raises(ValueError, match="internal vertices are trivalent"):
+        TrivalentGraph(vertices=[("x", "y", "z"), ("x", "y")], boundary=("z",))
+    with pytest.raises(ValueError, match="boundary sizes differ"):
+        glue(basis_w1(), theta_graph())

@@ -210,6 +210,21 @@ def test_compare_empty_partial_is_vacuous():
     assert report.compared == 0 and report.all_exact
 
 
+def test_compare_to_dataset_reports_sign_and_value_mismatches():
+    h3 = builtin_ring("h3")
+    state = seed(h3)
+    r = h3.label("r")
+    negated, replaced = FKey(r, r, r, r, r, r), FKey(0, r, r, r, r, r)
+    state.known[negated] = -state.known[negated]
+    state.known[replaced] = h3.tower.from_rational(2)
+    report = compare_to_dataset(state, build_h3_table())
+    assert not report.all_exact
+    assert report.render().splitlines() == [
+        "compared=173 exact=171 up_to_sign=172",
+        "mismatch: F[r; 1 r r; e=r f=r]",
+        "mismatch: F[r; r r r; e=r f=r] (sign only)"]
+
+
 def test_h3_propagation_report():
     h3 = builtin_ring("h3")
     state, report = propagate(seed(h3))
@@ -728,3 +743,20 @@ def test_solve_reports_whether_its_search_is_complete(monkeypatch):
     assert tables == [] and report.complete
     with pytest.raises(RuntimeError, match="none passed re-verification"):
         solve("fibonacci")
+
+
+def test_sibling_folds_compile_only_their_own_values():
+    """Two branch children moved from one fold each compile the values they
+    hold, as a fold from scratch does, and not the value the other met."""
+    fib = builtin_ring("fibonacci")
+    parent = _System(seed(fib)).fold
+    key = next(k for k in enumerate_fkeys(fib) if k not in seed(fib).known)
+    children = []
+    for value in (Fraction(2, 3), Fraction(5, 7)):
+        state = seed(fib)
+        state.known[key] = fib.tower.from_rational(value)
+        moved, fresh = _System(state, parent).fold, _System(state).fold
+        assert (moved.den_l, moved.splits) == (fresh.den_l, fresh.splits)
+        children.append(moved)
+    assert [fold.den_l for fold in children] == [3, 7]
+    assert parent.den_l == 1
