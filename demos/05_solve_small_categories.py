@@ -2,9 +2,10 @@
 
 The solver seeds the theorem-forced entries (unit-label entries are 1),
 then alternates exact propagation steps -- single-unknown equations,
-orthogonality rows, alias substitution and small eliminations -- branching
-on signs where the equations leave a choice.  Every surviving branch is
-re-verified by the independent pentagon checker before being returned.
+orthogonality rows, aliases X_j = lam * X_i kept with the assignment and
+small eliminations -- branching on signs where the equations leave a
+choice.  Every surviving branch is re-verified by the independent pentagon
+checker before being returned.
 """
 
 from fusioncat import builtin_ring, compare_to_dataset, propagate, render_scalar, seed, solve

@@ -1,13 +1,15 @@
 """Seeded constraint propagation for pentagon systems at desk scale.
 
 The solver seeds the theorem-forced entries (unit-label entries are 1; for
-h3 additionally the all-rho diagonal entry -B), then repeats three exact
-steps until nothing moves:
+h3 additionally the all-rho diagonal entry -B), then repeats four exact
+steps until nothing moves, each when the ones before it conclude nothing:
 
   1. equations with a single unknown appearing linearly are solved;
-  2. univariate equations of degree <= 2 are solved over the tower (two
+  2. each equation c1 X_i + c2 X_j (i < j) makes X_j the alias -c1/c2 X_i,
+     which every later fold reads as that factor times the root X_i;
+  3. univariate equations of degree <= 2 are solved over the tower (two
      roots become a branch point, none a contradiction);
-  3. small equations are row-reduced treating each unknown monomial as a
+  4. small equations are row-reduced treating each unknown monomial as a
      formal variable, which turns pairs like {X - M, X^2 + M - 1} into
      univariate conclusions without any Groebner machinery.
 
@@ -18,25 +20,25 @@ explored depth-first; any equation with no unknowns and a nonzero constant
 kills its branch.  Every completed table is re-verified with the independent
 pentagon and orthogonality checkers before it is returned.
 
-The pentagon and orthogonality equations and the square-pop relations of
-a ring are compiled once per ring object, on first use, into one plan
+The pentagon and orthogonality equations and the square-pop relations of a
+ring are compiled once per ring object, on first use, into one plan
 (:class:`_Plan`) in the pentagon check's shape, a left pair and triples of
 positions: a key's position in ``enumerate_fkeys`` order is also its id as
 an unknown, a constant sits at a position past the keys, and a relation is
-stated as a multiple of itself.  A round reads only the plan and the
-current knowns.  A fold (:class:`_Fold`) keeps the outcome of every
-equation over one assignment in plan order: dropped, an equation over the
-unknowns, or a contradiction.  Each propagation round moves the fold to the
-current knowns, re-folding only the equations that read a key whose value
-changed, and a branch child of :func:`solve` starts from its parent's fold.
-The round's system is then read off in plan order, so it has exactly the
+stated as a multiple of itself.  A round reads only the plan and the current
+assignment.  A fold (:class:`_Fold`) keeps the outcome of every equation over
+one assignment in plan order: dropped, an equation over the unknowns, or a
+contradiction.  Each propagation round moves the fold to the current knowns,
+re-folding only the equations that read a key whose value or alias changed,
+and a branch child of :func:`solve` starts from its parent's fold.  The
+round's system is then read off in plan order, so it has exactly the
 equations and the first contradiction of a fold from scratch.  A fold
-multiplies known values as the pentagon kernel does, in packed integer
-tower coordinates, compiled from its own values whenever it meets a new
-one.  The first fold, from the empty assignment, folds only the block rows,
-the relations and the pentagon equations that read a known key (over no
-knowns every other one has too many unknowns to keep), and no fold folds
-an identical-rule equation while the unit-label keys are 1.
+multiplies known values as the pentagon kernel does, in packed integer tower
+coordinates, compiled from its own values whenever it meets a new one.  The
+first fold, from the empty assignment, folds only the block rows, the
+relations and the pentagon equations that read a known key (over no knowns
+every other one has too many unknowns to keep), and no fold folds an
+identical-rule equation while the unit-label keys are 1.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from itertools import compress
 from math import lcm
 from operator import sub
 
-from .exactnum import (FieldScalar, ParamScalar, add_scaled, field_sqrt,
+from .exactnum import (FieldScalar, ParamScalar, field_sqrt,
                        gauss_jordan, named_constant)
 from .fsymbols import FSymbolTable
 from .fusionring import FKey, FusionRing, builtin_ring, enumerate_fkeys, is_h3
@@ -65,15 +67,26 @@ Poly = dict[tuple[int, ...], FieldScalar]  # monomial (sorted unknown ids) -> co
 class PartialTable:
     ring: FusionRing
     known: dict[FKey, FieldScalar]
+    # unknown id i -> (root id r, lam) for X_i = lam * X_r, r always unknown
+    aliases: dict[int, tuple[int, FieldScalar]] = field(default_factory=dict)
     # the equations folded over an earlier state of ``known`` (set by
     # propagate), from which the next propagate re-folds only what changed
     _fold: "_Fold | None" = field(default=None, init=False, repr=False,
                                   compare=False)
 
     def copy(self) -> "PartialTable":
-        out = PartialTable(self.ring, dict(self.known))
+        out = PartialTable(self.ring, dict(self.known), dict(self.aliases))
         out._fold = self._fold
         return out
+
+    def alias(self, found: dict[int, tuple[int, FieldScalar]]) -> None:
+        """Adds one round's aliases (:meth:`_System.aliases`), moving each
+        alias whose root ``found`` aliases onto the new root."""
+        for i, (r, lam) in self.aliases.items():
+            if r in found:
+                root, mu = found[r]
+                self.aliases[i] = (root, lam * mu)
+        self.aliases.update(found)
 
     def as_table(self) -> FSymbolTable:
         entries = {k: ParamScalar.from_field(v) for k, v in self.known.items()}
@@ -131,9 +144,9 @@ def seed(ring: FusionRing) -> PartialTable:
 
 _PENTAGON_CONTRADICTION = "nonzero residual on a fully-known pentagon instance"
 _KNOWN_CONTRADICTION = "fully-known equation has nonzero residual"
-# an equation with more distinct unknowns than this is left out of a round,
-# and a pentagon equation is left out before folding when it reads more
-# unknown key slots than this (a key read twice counts twice)
+# an equation with more distinct unknowns (roots) than this is left out of a
+# round, and a pentagon equation is left out before folding when it reads
+# more unknown or aliased key slots than this (a key read twice counts twice)
 _MAX_UNKNOWNS = 4
 # the most branch nodes :func:`solve` explores; for h3 it explores none
 _MAX_BRANCH_NODES = 4096
@@ -206,44 +219,54 @@ class _Plan:
 _plan = _per_ring(_Plan)
 
 
+def _scalar(v):
+    """A position's value, an alias's factor, or None."""
+    return v[1] if v.__class__ is tuple else v
+
+
 class _Fold:
     """The outcome of every equation of a plan over one assignment, kept in
     plan order.
 
-    An outcome is None (no equation: it cancels, has more than
+    A slot is a known value, an alias X_i = lam X_r, read as the value lam
+    times the unknown X_r (so a term still has at most three values), or an
+    unknown.  An outcome is None (no equation: it cancels, has more than
     ``_MAX_UNKNOWNS`` distinct unknowns, or is a pentagon equation with more
-    than that many unknown key slots), an equation (Poly) or a contradiction
-    message.  :meth:`updated` re-folds only the equations that read a
-    position whose value changed, so the outcomes always equal those of a
-    fold from scratch.  A first fold is an update from the empty assignment
-    with no constants either: it folds every equation that reads a known key
-    or a constant, and of the others only the ``plan.unkeyed`` ones.  While
-    every unit-label key is 1, no identical-rule equation is folded: it
-    would cancel.  Each unknown monomial sums, as one packed integer, the
-    products of its terms' known factors scaled to ``L**3 * B``, in a width
-    proven from the compiled values; as 1 is among them, a term of fewer
-    than three known factors is bounded as one padded with ones.  A moved
-    fold inherits its compile state, and a value it has not compiled
-    recompiles ``splits`` (each value as ``(n, pid)``), ``L`` and the width
-    from its own values, the product memos kept while ``L`` and the width
-    stay; the interned ``dirs`` only grow, shared by every fold of a search.
+    than that many unknown or aliased key slots), an equation (Poly) or a
+    contradiction message.  :meth:`updated` re-folds only the equations that
+    read a position whose value or alias changed, so the outcomes always
+    equal those of a fold from scratch.  A first fold is an update from the
+    empty assignment with no constants either: it folds every equation that
+    reads a known key or a constant, and of the others only the
+    ``plan.unkeyed`` ones.  While every unit-label key is 1, no
+    identical-rule equation is folded: it would cancel.  Each unknown
+    monomial sums, as one packed integer, the products of its terms' known
+    factors scaled to ``L**3 * B``, in a width proven from the compiled
+    values; as 1 is among them, a term of fewer than three known factors is
+    bounded as one padded with ones.  A moved fold inherits its compile
+    state, and a value it has not compiled recompiles ``splits`` (each value
+    as ``(n, pid)``), ``L`` and the width from its own values, the product
+    memos kept while ``L`` and the width stay; the interned ``dirs`` only
+    grow, shared by every fold of a search.
     """
 
-    __slots__ = ("plan", "values", "outcomes", "known", "dirs", "splits",
-                 "den_l", "width", "products", "coefficients")
+    __slots__ = ("plan", "values", "outcomes", "known", "aliased", "dirs",
+                 "splits", "den_l", "width", "products", "coefficients")
 
     def __init__(self, plan: _Plan):
         self.plan, self.outcomes = plan, None
-        # each position's value and its (n, pid), None while unknown
+        # each position's value or alias (root, lam) and its (n, pid), None
+        # while unknown or aliased; an aliased position's (n, pid, root)
         self.values = self.known = [None] * (len(plan.keys)
                                              + len(plan.constants))
         self.dirs, self.den_l, self.width = _Directions(plan.tower), 0, 0
-        self.splits = {}
+        self.splits, self.aliased = {}, {}
 
     def _compile(self) -> None:
         dirs = self.dirs
         den_l, self.splits = dirs.compile(
-            v for v in self.values if v is not None and not v.is_zero())
+            v for v in map(_scalar, self.values)
+            if v is not None and not v.is_zero())
         n_max = max(abs(n) for n, _ in self.splits.values())
         width = dirs.width(den_l, 0, self.plan.most_terms * n_max ** 3)
         if (den_l, width) != (self.den_l, self.width):
@@ -256,10 +279,13 @@ class _Fold:
             self.coefficients = _Memo(lambda packed: FieldScalar(
                 tower, _unpack(packed, width, tower.degree), scale))
 
-    def updated(self, known: dict[FKey, FieldScalar]) -> "_Fold":
-        """This fold moved to ``known``; self is left as it is."""
+    def updated(self, known: dict[FKey, FieldScalar],
+                aliases: dict[int, tuple[int, FieldScalar]] = {}) -> "_Fold":
+        """This fold moved to ``known`` and ``aliases`` (as on
+        :class:`PartialTable`); self is left as it is."""
         plan = self.plan
-        values = [known.get(k) for k in plan.keys] + plan.constants
+        values = [known.get(k, aliases.get(p))
+                  for p, k in enumerate(plan.keys)] + plan.constants
         n = plan.n_equations
         changed = [p for p, (v, w) in enumerate(zip(values, self.values))
                    if v is not w]
@@ -274,13 +300,19 @@ class _Fold:
             for i in plan._by_key[p]:
                 touched[i] = 1
         new = copy.copy(self)
-        new.values, new.outcomes, new.known = values, outcomes, list(self.known)
+        new.values, new.outcomes = values, outcomes
+        new.known, new.aliased = list(self.known), dict(self.aliased)
         if any(v is not None and not v.is_zero()
                and v.integer_coords() not in self.splits
-               for v in map(values.__getitem__, changed)):
+               for v in map(_scalar, map(values.__getitem__, changed))):
             new._compile()
         for p in changed if new.den_l == self.den_l else range(len(values)):
             v = values[p]
+            if v.__class__ is tuple:
+                new.aliased[p] = (*new.splits[v[1].integer_coords()], v[0])
+                v = None
+            else:
+                new.aliased.pop(p, None)
             new.known[p] = None if v is None else new.splits.get(
                 v.integer_coords(), (0, 0))
         fold = new._folder()
@@ -293,7 +325,7 @@ class _Fold:
 
     def _folder(self):
         """The fold of one equation over ``self.values``, by number."""
-        plan, known = self.plan, self.known
+        plan, known, aliased = self.plan, self.known, self.aliased
         slots, starts = plan.slots, plan.starts
         products, coefficients = self.products, self.coefficients
 
@@ -311,10 +343,13 @@ class _Fold:
                 for p in sl[max(k, 0):k + 3]:
                     v = known[p]
                     if v is None:
-                        mono.append(p)
-                    else:
-                        c *= v[0]
-                        pids.append(v[1])
+                        v = aliased.get(p)
+                        if v is None:
+                            mono.append(p)
+                            continue
+                        mono.append(v[2])
+                    c *= v[0]
+                    pids.append(v[1])
                 if c:
                     mono = tuple(sorted(mono))
                     c *= products[tuple(sorted(pids))]
@@ -345,7 +380,7 @@ class _System:
         self.ring = partial.ring
         if fold is None:
             fold = _Fold(_plan(self.ring))
-        self.fold = fold.updated(partial.known)
+        self.fold = fold.updated(partial.known, partial.aliases)
         self.unknown_keys = self.fold.plan.keys
         outcomes = self.fold.outcomes
         self.equations: list[Poly] = [o for o in outcomes if o.__class__ is dict]
@@ -371,70 +406,20 @@ class _System:
                 self.contradiction = "inconsistent linear conclusions"
         return out
 
-    def rewritten(self) -> list[Poly]:
-        """Equations with two-term aliases X_i = lam * X_j substituted away.
-
-        Aliases are collected with a union-find whose edges carry the exact
-        field factor, so chains and sign flips compose correctly; ``find``
-        compresses paths, and an equation with no alias passes as it is.
-        """
-        parent: dict[int, tuple[int, FieldScalar]] = {}
-        one = self.ring.tower.one()
-
-        def times(x, y):  # x * y, None for 1, with no product by exactly 1
-            return (x if y is None or y == one else
-                    y if x is None or x == one else x * y)
-
-        def find(i: int) -> tuple[int, FieldScalar | None]:
-            # the root r of i and f in X_i = f * X_r, None if i is a root
-            path = []
-            while i in parent:
-                path.append(i)
-                i = parent[i][0]
-            factor = None
-            for j in reversed(path):
-                factor = times(parent[j][1], factor)
-                parent[j] = (i, factor)
-            return i, factor
-
+    def aliases(self) -> dict[int, tuple[int, FieldScalar]]:
+        """Each two-term equation c1 X_i + c2 X_j (i < j) as the alias
+        X_j = -c1/c2 X_i, by j, skipping one that reads an unknown of an
+        earlier alias, so that no alias of a round reads another."""
+        out, seen = {}, set()
         for poly in self.equations:
-            if () in poly or len(poly) != 2:
+            if len(poly) != 2:
                 continue
             (m1, c1), (m2, c2) = sorted(poly.items())
-            if len(m1) != 1 or len(m2) != 1:
+            if len(m1) != 1 or len(m2) != 1 or not seen.isdisjoint(m1 + m2):
                 continue
-            ri, fi = find(m1[0])
-            rj, fj = find(m2[0])
-            if ri == rj:
-                continue
-            # c1 * fi * X_ri + c2 * fj * X_rj = 0
-            lam = -times(c2, fj) / times(c1, fi)
-            if ri < rj:
-                parent[rj] = (ri, lam.inverse())
-            else:
-                parent[ri] = (rj, lam)
-        if not parent:
-            return self.equations
-        out = []
-        for poly in self.equations:
-            if not any(i in parent for m in poly for i in m):
-                out.append(poly)
-                continue
-            new: Poly = {}
-            for mono, coeff in poly.items():
-                ids = []
-                for i in mono:
-                    r, f = find(i)
-                    ids.append(r)
-                    coeff = times(coeff, f)
-                add_scaled(new, {tuple(sorted(ids)): coeff})
-            if new:
-                if all(m == () for m in new):
-                    if self.contradiction is None:
-                        self.contradiction = (
-                            "alias substitution exposed a nonzero residual")
-                    continue
-                out.append(new)
+            (i,), (j,) = m1, m2
+            seen.update((i, j))
+            out[j] = (i, -c1 / c2)
         return out
 
     def univariate_roots(self, equations) -> list[tuple[int, list[FieldScalar]]]:
@@ -479,63 +464,58 @@ def _is_one_dim(ring: FusionRing, key: FKey) -> bool:
 
 
 def propagate(partial: PartialTable) -> tuple[PartialTable, SolveReport]:
-    """Deterministic fixpoint of the three propagation steps (no branching).
+    """Deterministic fixpoint of the four propagation steps (no branching).
 
-    The returned report carries the per-round resolution counts; branch
-    candidates discovered at the fixpoint are stored on the report as
-    ``branch_options`` for :func:`solve` to explore.
+    An alias whose root gets a value takes its factor times that value.  The
+    returned report carries the per-round resolution counts (none for a
+    round that only adds aliases); branch candidates discovered at the
+    fixpoint are stored on the report as ``branch_options`` for
+    :func:`solve` to explore.
     """
     partial = partial.copy()
     ring = partial.ring
     fold = partial._fold
+    keys, aliases = _plan(ring).keys, partial.aliases
     report = SolveReport(ring=ring.name, seeds=len(partial.known))
     start = time.monotonic()
     while True:
+        for i, (r, lam) in list(aliases.items()):
+            if keys[r] in partial.known:
+                partial.known[keys[i]] = lam * partial.known[keys[r]]
+                del aliases[i]
         system = _System(partial, fold)
         fold = system.fold
-        if system.contradiction:
-            report.contradiction = system.contradiction
-            break
         assignments = system.linear_assignments(system.equations)
-        rewritten = None
-        if not assignments:
-            rewritten = system.rewritten()
-            if rewritten is not system.equations:
-                assignments = system.linear_assignments(rewritten)
-        if system.contradiction:
-            report.contradiction = system.contradiction
-            break
-        branch_options: list[tuple[FKey, list[FieldScalar]]] = []
-        if not assignments:
-            candidates = system.univariate_roots(system.equations)
-            if not candidates and rewritten is not system.equations:
-                candidates = system.univariate_roots(rewritten)
-            if not candidates:
-                candidates = system.univariate_roots(system.eliminated(rewritten))
-            for uid, roots in candidates:
-                key = system.unknown_keys[uid]
+        options: list[tuple[FKey, list[FieldScalar]]] = []
+        if not assignments and not system.contradiction:
+            if found := system.aliases():
+                partial.alias(found)
+                continue
+            for uid, roots in (system.univariate_roots(system.equations) or
+                               system.univariate_roots(
+                                   system.eliminated(system.equations))):
+                key = keys[uid]
                 if _is_one_dim(ring, key):
                     roots = [v for v in roots if not v.is_zero()]
                 if not roots:
-                    report.contradiction = (
+                    system.contradiction = (
                         f"no admissible root for {ring.describe(key)}")
                     break
                 if len(roots) == 1:
                     assignments[uid] = roots[0]
                 else:
-                    branch_options.append((key, roots))
-            if report.contradiction:
-                break
-        if assignments:
-            for uid, value in sorted(assignments.items()):
-                partial.known[system.unknown_keys[uid]] = value
-            report.rounds.append(len(assignments))
-            continue
-        report.branch_options = branch_options
-        break
+                    options.append((key, roots))
+        if system.contradiction:
+            report.contradiction = system.contradiction
+            break
+        if not assignments:
+            report.branch_options = options
+            break
+        for uid, value in sorted(assignments.items()):
+            partial.known[keys[uid]] = value
+        report.rounds.append(len(assignments))
     partial._fold = fold
-    report.remaining = sum(
-        1 for k in enumerate_fkeys(ring) if k not in partial.known)
+    report.remaining = len(keys) - len(partial.known)
     report.duration = time.monotonic() - start
     return partial, report
 

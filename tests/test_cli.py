@@ -338,7 +338,7 @@ def test_solve_h3_rejects_out(tmp_path):
 SOLVE_SHA256 = {
     "z3": "a90a072e118f069bc8204048da6cc0c0fd7ec6ff1ad871a276db63ea62868d23",
     "fib": "d34e9f723b63a5b634a1bc45d90955e10fa44c34c0e9e6ac3208cd8c042c18fe",
-    "ising": "668f6940b2fe607f78859a9b2379ce823135b49d4a702c27fc1a1325dcb99313",
+    "ising": "58c1653da886b1aa9fc8a7c7d6e262369fc899a2a7b7b19a5e0d2c7e12b2798d",
     "h3": "21e799227d906396304995f7e782c19e3c6b9aef3c568262e0d4777fa9537ca3",
 }
 

@@ -2,7 +2,6 @@
 
 import gc
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -268,7 +267,8 @@ def _checked_systems(monkeypatch):
     class Checked(original):
         def __init__(self, partial, fold=None):
             super().__init__(partial, fold)
-            fresh = original(PartialTable(partial.ring, dict(partial.known)))
+            fresh = original(PartialTable(partial.ring, dict(partial.known),
+                                          dict(partial.aliases)))
             assert _system_rows(self) == _system_rows(fresh)
             assert self.fold.outcomes == fresh.fold.outcomes
             assert self.unknown_keys == fresh.unknown_keys
@@ -282,7 +282,7 @@ def test_incremental_fold_matches_fold_from_scratch(monkeypatch):
     built = _checked_systems(monkeypatch)
     # only the seed's first round folds from scratch: every later round,
     # and the first round of every branch child, starts from an earlier fold
-    for name, count, systems in (("fibonacci", 2, 11), ("ising", 16, 239)):
+    for name, count, systems in (("fibonacci", 2, 11), ("ising", 16, 91)):
         del built[:]
         assert len(solve(name)) == count
         assert built == [False] + [True] * (systems - 1)
@@ -300,7 +300,7 @@ def test_incremental_fold_matches_fold_from_scratch(monkeypatch):
 
 
 def test_solver_search_is_pinned():
-    for name, nodes, count in (("fibonacci", 3, 2), ("ising", 47, 16)):
+    for name, nodes, count in (("fibonacci", 3, 2), ("ising", 15, 16)):
         tables, report = solve(name, with_report=True)
         assert report.branch_decisions == [f"explored {nodes} branch nodes"]
         assert len(tables) == count
@@ -379,18 +379,17 @@ def test_system_conclusions_on_hand_built_equations():
     # a linear univariate equation has one root
     assert system.univariate_roots([{(): q(-2), (5,): q(4)}]) == [
         (5, [q(Fraction(1, 2))])]
-    # X1 = 2 X3 puts X3 under X1; then X2 = X3 merges X2 toward the lower
-    # root X1, so X2 + X3 - 1 becomes X1 - 1 and the aliases cancel
+    # X1 - 2 X3 = 0 aliases the higher unknown, X3 = X1 / 2; X2 = X3 waits
+    # for a later round, as X3 is in this round's alias, and an equation
+    # with a constant or a third term aliases nothing
     system.equations = [{(1,): q(1), (3,): q(-2)}, {(2,): q(1), (3,): q(-1)},
-                        {(2,): q(1), (3,): q(1), (): q(-1)}]
-    assert system.rewritten() == [{(1,): q(1), (): q(-1)}]
+                        {(2,): q(1), (3,): q(1), (): q(-1)},
+                        {(4,): q(1), (): q(-1)}]
+    assert system.aliases() == {3: (1, q(Fraction(1, 2)))}
     assert system.contradiction is None
-    # X1 = X2 and X1 - X2 + 1 = 0 leave the constant 1
-    system.equations = [{(1,): q(1), (2,): q(-1)},
-                        {(1,): q(1), (2,): q(-1), (): q(1)}]
-    assert system.rewritten() == []
-    assert system.contradiction == (
-        "alias substitution exposed a nonzero residual")
+    # X5 + 3 X4 = 0 and X1 = X2 give two aliases in one round
+    system.equations = [{(5,): q(1), (4,): q(3)}, {(1,): q(1), (2,): q(-1)}]
+    assert system.aliases() == {5: (4, q(-3)), 2: (1, q(1))}
     # a fold moved to the very values it holds is returned as it is
     partial = seed(z3)
     fold = _System(partial).fold
@@ -429,12 +428,15 @@ def test_square_pop_relations_in_the_plan_hold_and_catch_a_sign():
 def _reference_fold(plan, values, i):
     """Equation ``i`` of a plan folded over the key values ``values`` with
     FieldScalar products, one term at a time, its left pair added and each
-    triple subtracted (reference path for the packed fold)."""
+    triple subtracted; a key's value is None while unknown, and an alias
+    (root, lam) reads as lam times the root unknown (reference path for the
+    packed fold)."""
     keys = len(plan.keys)
     sl = plan.slots[plan.starts[i]:plan.starts[i + 1]]
     n_unknown = None
     if i < plan.n_pentagon:
-        n_unknown = [values[p] is None for p in sl].count(True)
+        n_unknown = [values[p] is None or isinstance(values[p], tuple)
+                     for p in sl].count(True)
         if n_unknown > solver._MAX_UNKNOWNS:
             return None
     poly = {}
@@ -444,6 +446,9 @@ def _reference_fold(plan, values, i):
             v = values[p] if p < keys else plan.constants[p - keys]
             if v is None:
                 mono.append(p)
+            elif isinstance(v, tuple):
+                mono.append(v[0])
+                coeff = coeff * v[1]
             else:
                 coeff = coeff * v
         if not coeff.is_zero():
@@ -469,18 +474,19 @@ def _assert_fold_matches_reference(fold):
 def test_packed_fold_matches_the_reference_fold(monkeypatch):
     for name in ("z3_pointed", "fibonacci", "ising", "h3"):
         _assert_fold_matches_reference(_System(seed(builtin_ring(name))).fold)
-    # every system the ising search builds, fresh or moved
+    # every system the ising search builds, fresh or moved, some of them
+    # over aliases
     original = solver._System
 
     class Checked(original):
         def __init__(self, partial, fold=None):
             super().__init__(partial, fold)
             _assert_fold_matches_reference(self.fold)
-            built.append(fold is not None)
+            built.append(bool(partial.aliases))
 
     built = []
     monkeypatch.setattr(solver, "_System", Checked)
-    assert len(solve("ising")) == 16 and len(built) == 239
+    assert len(solve("ising")) == 16 and len(built) == 91 and any(built)
     monkeypatch.undo()
     # wide coefficients: the h3 data set under a field-valued gauge at
     # (+1, +1), one key in four unknown and one known key negated, so that
@@ -500,6 +506,21 @@ def test_packed_fold_matches_the_reference_fold(monkeypatch):
                    ).fold.outcomes == outcomes
     polys = [o for o in outcomes if o.__class__ is dict]
     assert len(polys) > 30000 and outcomes.count(solver._KNOWN_CONTRADICTION)
+    # aliases with non-unit factors: all but 30 of the unknown keys read as
+    # a gauged value times one of those 30; the fold from scratch and the
+    # fold moved from the unaliased one agree
+    plan = solver._plan(h3)
+    unknown = [p for p, k in enumerate(plan.keys) if k not in known]
+    rng.shuffle(unknown)
+    factors = [v for v in known.values() if v * v != h3.tower.one()]
+    aliases = {i: (rng.choice(unknown[:30]), rng.choice(factors))
+               for i in unknown[30:]}
+    aliased = _assert_fold_matches_reference(
+        _System(PartialTable(h3, known, aliases)).fold)
+    assert _System(PartialTable(h3, known, aliases), _System(
+        PartialTable(h3, known)).fold).fold.outcomes == aliased
+    roots = {p for o in aliased if o.__class__ is dict for m in o for p in m}
+    assert roots <= set(unknown[:30]) and aliased != outcomes
 
 
 def test_a_fold_from_no_knowns_folds_only_what_a_known_key_reaches():
@@ -598,9 +619,30 @@ def test_identical_rule_skip_is_exact_on_both_sides_of_its_condition(
     assert back.products is moved.products and back.dirs is first.dirs
 
 
+def _substituted(equations, aliases):
+    """Equations with each aliased X_i read as lam X_r, as a fold reads
+    them, and the ones that cancel left out (reference path)."""
+    out = []
+    for poly in equations:
+        new = {}
+        for mono, coeff in poly.items():
+            ids = []
+            for i in mono:
+                if i in aliases:
+                    i, f = aliases[i]
+                    coeff = coeff * f
+                ids.append(i)
+            add_scaled(new, {tuple(sorted(ids)): coeff})
+        if new:
+            out.append(new)
+    return out
+
+
 def _reference_rewritten(system):
-    """``_System.rewritten`` with the union-find that walks every path and
-    multiplies every factor, 1 included (reference path)."""
+    """A system's equations with every two-term alias X_i = lam X_j
+    substituted away, those left with no unknown dropped, and the
+    union-find's ``find``, i -> (root, factor) for X_i = factor X_root,
+    that walks every path (reference path)."""
     parent = {}
     one = system.ring.tower.one()
 
@@ -625,26 +667,16 @@ def _reference_rewritten(system):
             parent[rj] = (ri, one / lam)
         else:
             parent[ri] = (rj, lam)
-    out = []
-    for poly in system.equations:
-        new = {}
-        for mono, coeff in poly.items():
-            ids = []
-            for i in mono:
-                r, f = find(i)
-                ids.append(r)
-                coeff = coeff * f
-            add_scaled(new, {tuple(sorted(ids)): coeff})
-        if new and not all(m == () for m in new):
-            out.append(new)
-    return out
+    rewritten = _substituted(system.equations, {i: find(i) for i in parent})
+    return [p for p in rewritten if any(p)], find
 
 
 def test_path_compressed_aliases_match_the_reference_union_find():
     # a 200-link alias chain X_k = lam_k X_(k+1) with mixed signs and
-    # factors, its links in descending order first (so that the union-find
-    # builds one deep path) and then shuffled, among equations that read
-    # the chain and unknowns outside it
+    # factors, its links in descending order first and then shuffled, among
+    # equations that read the chain and unknowns outside it, run through
+    # alias rounds as propagate does (each round substituting the aliases
+    # into the equations, as the fold does) until no round finds one
     z3 = builtin_ring("z3_pointed")
     q = z3.tower.from_rational
     rng = random.Random(29)
@@ -658,40 +690,19 @@ def test_path_compressed_aliases_match_the_reference_union_find():
     for order in (links[::-1], rng.sample(links, len(links))):
         system = _System(seed(z3))
         system.equations = order + others
-        expected = _reference_rewritten(system)
-        rewritten = system.rewritten()
-        assert rewritten == expected and system.contradiction is None
-        # the links cancel, every chain unknown is rewritten onto X_0, and
-        # the equation with no alias passes as it is
-        assert len(rewritten) == len(others) and rewritten[-1] is others[-1]
-        assert {i for p in rewritten for m in p for i in m} == {
-            0, 201, 202, 203, 204}
-
-
-def test_rewriting_multiplies_nothing_by_exactly_one(monkeypatch):
-    # over solve("ising"): products made by the alias code itself (not by a
-    # division inside it), none with an operand of exactly 1
-    one = builtin_ring("ising").tower.one()
-    products, by_one, active = [0], [0], []
-    multiply, rewritten = FieldScalar.__mul__, solver._System.rewritten
-
-    def counted_mul(self, other):
-        if active and sys._getframe(1).f_code.co_filename == solver.__file__:
-            products[0] += 1
-            by_one[0] += self == one or other == one
-        return multiply(self, other)
-
-    def counted_rewritten(self):
-        active.append(True)
-        try:
-            return rewritten(self)
-        finally:
-            active.pop()
-
-    monkeypatch.setattr(FieldScalar, "__mul__", counted_mul)
-    monkeypatch.setattr(solver._System, "rewritten", counted_rewritten)
-    assert len(solve("ising")) == 16
-    assert products[0] > 500 and by_one[0] == 0
+        expected, find = _reference_rewritten(system)
+        partial, rounds = PartialTable(z3, {}), 0
+        while found := system.aliases():
+            # no alias of a round reads another
+            assert not found.keys() & {r for r, _ in found.values()}
+            partial.alias(found)
+            system.equations = _substituted(order + others, partial.aliases)
+            rounds += 1
+        # every chain unknown ends on X_0 with the union-find's factor, the
+        # links cancel, and the other equations read as the reference's
+        assert partial.aliases == {k: (0, find(k)[1]) for k in range(1, 201)}
+        assert system.equations == expected and len(expected) == len(others)
+        assert 1 < rounds < 20 and system.contradiction is None
 
 
 def test_linear_conclusions_divide_once_and_check_the_rest(monkeypatch):
@@ -718,7 +729,7 @@ def test_solve_reports_whether_its_search_is_complete(monkeypatch):
     assert (report.stalled, report.budget_cut) == (0, 0)
     monkeypatch.setattr(solver, "_MAX_BRANCH_NODES", 10)
     tables, report = solve("ising", with_report=True)
-    assert len(tables) == 2 and not report.complete
+    assert len(tables) == 8 and not report.complete
     assert report.stalled == 0 and report.budget_cut > 0
     assert report.branch_decisions == ["explored 10 branch nodes"]
     monkeypatch.setattr(solver, "_MAX_BRANCH_NODES", 1)
